@@ -1,8 +1,8 @@
 //! §5.1.1 server capacity with real packets: drive many concurrent
-//! `ReceiverSession`s over loopback UDP against (a) the legacy
-//! single-socket `Server` loop and (b) the sharded `SO_REUSEPORT` server
-//! with batched syscalls, and report aggregate goodput, sessions/s,
-//! syscalls-per-datagram, and the p99 shard deadline miss.
+//! `ReceiverSession`s over loopback UDP against (a) a one-shard
+//! `ShardedServer` (one socket, one serve loop) and (b) the same server
+//! sharded across an `SO_REUSEPORT` group, and report aggregate goodput,
+//! sessions/s, syscalls-per-datagram, and the p99 shard deadline miss.
 //!
 //! Run with `cargo run -p nc-bench --release --bin server_capacity
 //! [out.json]`; writes `BENCH_PR7.json` (or the given path). `--test`
@@ -10,8 +10,10 @@
 //! `--telemetry-json <path>` to also dump the raw metrics snapshot.
 //!
 //! Clients are identical in both phases — a few `BatchSocket`s, each
-//! multiplexing many sessions and draining with batched receives — so
-//! the baseline/sharded delta isolates the *server* loop. The
+//! multiplexing many sessions and draining with batched receives — and
+//! both phases run the same server type, so the one-shard/sharded delta
+//! isolates the shard count. Both phases batch syscalls unless built
+//! with `--cfg nc_portable_io`. The
 //! `syscalls_per_datagram` figure is `net.syscalls` over
 //! `net.tx_datagrams + net.rx_datagrams`, both counted at the I/O seam
 //! on each side of every socket in the process.
@@ -23,8 +25,7 @@ use std::time::{Duration, Instant};
 
 use nc_net::channel::BatchSocket;
 use nc_net::receiver::{ReceiverConfig, ReceiverEvent, ReceiverSession};
-use nc_net::server::{Server, ServerConfig};
-use nc_net::shard::{ShardedServer, ShardedServerConfig};
+use nc_net::shard::{ServerConfig, ShardedServer, ShardedServerConfig};
 use nc_net::wire::Datagram;
 use nc_rlnc::stream::StreamEncoder;
 use nc_rlnc::CodingConfig;
@@ -140,17 +141,23 @@ fn counter(snapshot: &nc_telemetry::Snapshot, name: &str) -> u64 {
     snapshot.counter(name).unwrap_or(0)
 }
 
-/// Runs one phase: spin up client threads, run `serve` on this thread,
-/// and meter the process-wide I/O counters across the phase.
+/// Runs one phase: bind a server under `config` publishing every session
+/// id, spin up client threads, run `serve` on this thread, and meter the
+/// process-wide I/O counters across the phase.
 fn run_phase(
     label: &'static str,
-    serve: impl FnOnce(usize, Duration) -> std::io::Result<usize>,
-    server_addr: SocketAddr,
+    config: ShardedServerConfig,
+    encoder: &Arc<StreamEncoder>,
     sessions: usize,
     client_sockets: usize,
     data: &Arc<Vec<u8>>,
     deadline: Duration,
 ) -> PhaseResult {
+    let mut server = ShardedServer::bind("127.0.0.1:0", config).expect("bind server");
+    for id in 0..sessions as u64 {
+        server.publish(id, encoder.clone());
+    }
+    let server_addr = server.local_addr().expect("addr");
     let before = nc_telemetry::snapshot();
     let start = Instant::now();
     let chunk = sessions.div_ceil(client_sockets);
@@ -164,7 +171,7 @@ fn run_phase(
             std::thread::spawn(move || client_driver(server_addr, ids, expected, deadline))
         })
         .collect();
-    let served = serve(sessions, deadline).expect("serve");
+    let served = server.serve(sessions, deadline).expect("serve").len();
     let exact: usize = clients.into_iter().map(|c| c.join().expect("client thread")).sum();
     let elapsed = start.elapsed().as_secs_f64();
     let after = nc_telemetry::snapshot();
@@ -195,7 +202,7 @@ fn main() {
     // 16 client sockets keep each socket's share of the initial blast
     // (sessions/16 x payload + per-skb accounting) under the 4 MB
     // `rmem_max` grant, so client-side buffering is loss-free in both
-    // phases and the phases differ only in the server loop.
+    // phases and the phases differ only in the shard count.
     let (sessions, shards, client_sockets) = if test_mode { (64, 4, 4) } else { (1000, 8, 16) };
     let deadline = if test_mode { Duration::from_secs(60) } else { Duration::from_secs(180) };
 
@@ -203,57 +210,31 @@ fn main() {
     let data: Arc<Vec<u8>> =
         Arc::new((0..PAYLOAD_BYTES).map(|i| (i.wrapping_mul(2654435761) >> 9) as u8).collect());
     let encoder = Arc::new(StreamEncoder::new(coding, &data).expect("non-empty"));
-    let server_config =
+    let server =
         ServerConfig { recv_buffer_bytes: Some(RECV_BUFFER_BYTES), ..ServerConfig::default() };
-
-    // Phase 1: the legacy single-socket loop — one datagram per syscall.
-    let mut baseline_server =
-        Server::bind("127.0.0.1:0", server_config.clone()).expect("bind baseline");
-    for id in 0..sessions as u64 {
-        baseline_server.publish(id, encoder.clone());
-    }
-    let addr = baseline_server.local_addr().expect("addr");
-    let baseline = run_phase(
-        "single-socket",
-        |expected, deadline| Ok(baseline_server.serve(expected, deadline)?.len()),
-        addr,
-        sessions,
-        client_sockets,
-        &data,
-        deadline,
-    );
-
-    // Phase 2: the sharded SO_REUSEPORT group with batched syscalls.
-    let sharded_config =
-        ShardedServerConfig { shards, server: server_config, ..ShardedServerConfig::default() };
-    let mut sharded_server =
-        ShardedServer::bind("127.0.0.1:0", sharded_config).expect("bind sharded");
-    for id in 0..sessions as u64 {
-        sharded_server.publish(id, encoder.clone());
-    }
-    let addr = sharded_server.local_addr().expect("addr");
-    let sharded = run_phase(
-        "sharded-batched",
-        |expected, deadline| Ok(sharded_server.serve(expected, deadline)?.len()),
-        addr,
-        sessions,
-        client_sockets,
-        &data,
-        deadline,
-    );
+    let phase = |label, shards| {
+        let config = ShardedServerConfig {
+            shards,
+            server: server.clone(),
+            ..ShardedServerConfig::default()
+        };
+        run_phase(label, config, &encoder, sessions, client_sockets, &data, deadline)
+    };
+    let one_shard = phase("one-shard", 1);
+    let sharded = phase("sharded", shards);
 
     let snapshot = nc_telemetry::snapshot();
     let miss = snapshot.histogram("net.deadline_miss_ns");
     let p99_miss_us = miss.as_ref().map_or(0.0, |h| h.p99 as f64 / 1e3);
     let forwards = counter(&snapshot, "net.shard_forwards");
-    let speedup = sharded.goodput_mb_s / baseline.goodput_mb_s.max(f64::MIN_POSITIVE);
+    let speedup = sharded.goodput_mb_s / one_shard.goodput_mb_s.max(f64::MIN_POSITIVE);
 
     println!(
         "server_capacity: sessions={sessions} payload={PAYLOAD_BYTES}B shards={shards} \
          batched={}",
         BatchSocket::batched()
     );
-    for phase in [&baseline, &sharded] {
+    for phase in [&one_shard, &sharded] {
         println!(
             "  {:<16} {:>7.2}s  {:>8.2} MB/s  {:>8.1} sessions/s  {:>6.3} syscalls/datagram  \
              {:>8} datagrams  {}/{} exact",
@@ -267,8 +248,11 @@ fn main() {
             sessions,
         );
     }
-    println!("  speedup (sharded/single): {speedup:.2}x");
-    println!("  shard p99 deadline miss: {p99_miss_us:.1} us; cross-shard forwards: {forwards}");
+    println!("  speedup (sharded/one-shard): {speedup:.2}x");
+    println!(
+        "  shard p99 deadline miss (both phases): {p99_miss_us:.1} us; cross-shard forwards: \
+         {forwards}"
+    );
 
     let json = format!(
         concat!(
@@ -276,13 +260,13 @@ fn main() {
             "  \"bench\": \"server_capacity\",\n",
             "  \"config\": {{\"sessions\": {sessions}, \"payload_bytes\": {payload}, ",
             "\"shards\": {shards}, \"client_sockets\": {clients}, \"batched\": {batched}}},\n",
-            "  \"single_socket\": {{\"elapsed_s\": {b_el:.3}, \"goodput_mb_s\": {b_gp:.3}, ",
-            "\"sessions_per_s\": {b_sp:.2}, \"bit_exact\": {b_ex}, ",
-            "\"syscalls_per_datagram\": {b_sd:.4}}},\n",
+            "  \"one_shard\": {{\"elapsed_s\": {o_el:.3}, \"goodput_mb_s\": {o_gp:.3}, ",
+            "\"sessions_per_s\": {o_sp:.2}, \"bit_exact\": {o_ex}, ",
+            "\"syscalls_per_datagram\": {o_sd:.4}}},\n",
             "  \"sharded\": {{\"elapsed_s\": {s_el:.3}, \"goodput_mb_s\": {s_gp:.3}, ",
             "\"sessions_per_s\": {s_sp:.2}, \"bit_exact\": {s_ex}, ",
             "\"syscalls_per_datagram\": {s_sd:.4}}},\n",
-            "  \"speedup_sharded_vs_single\": {speedup:.3},\n",
+            "  \"speedup_vs_one_shard\": {speedup:.3},\n",
             "  \"p99_deadline_miss_us\": {p99:.1},\n",
             "  \"cross_shard_forwards\": {forwards}\n",
             "}}\n"
@@ -292,11 +276,11 @@ fn main() {
         shards = shards,
         clients = client_sockets,
         batched = BatchSocket::batched(),
-        b_el = baseline.elapsed_s,
-        b_gp = baseline.goodput_mb_s,
-        b_sp = baseline.sessions_per_s,
-        b_ex = baseline.exact,
-        b_sd = baseline.syscalls_per_datagram(),
+        o_el = one_shard.elapsed_s,
+        o_gp = one_shard.goodput_mb_s,
+        o_sp = one_shard.sessions_per_s,
+        o_ex = one_shard.exact,
+        o_sd = one_shard.syscalls_per_datagram(),
         s_el = sharded.elapsed_s,
         s_gp = sharded.goodput_mb_s,
         s_sp = sharded.sessions_per_s,

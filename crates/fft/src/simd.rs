@@ -33,8 +33,8 @@
 //! layer never forwards the skew table's zero-multiplier sentinel here.
 //!
 //! All kernels are tested bit-identical against the scalar field ops at
-//! every head/tail length (see the module tests and
-//! `tests/gf16_dispatch.rs`).
+//! every head/tail length (see `every_available_kernel_matches_scalar` in
+//! the module tests).
 
 // The only `unsafe` in the crate: straight mappings to documented vendor
 // intrinsics, feature-gated, with bounds stated per block — same contract

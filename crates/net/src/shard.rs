@@ -1,9 +1,16 @@
-//! Sharded multi-socket serving: the §5.1.1 capacity configuration.
+//! Multi-receiver serving: the crate's one server, and the §5.1.1
+//! capacity configuration.
 //!
 //! The paper's headline serving claim is that once encoding is cheap, the
 //! bottleneck is pushing packets — so the server must scale across cores
-//! and amortize kernel crossings. This module is that scale-out of
-//! [`crate::server::Server`]:
+//! and amortize kernel crossings. The server publishes streams under
+//! session ids; any receiver that sends a `Request` for a published id
+//! gets its own [`SenderSession`] keyed by `(peer address, session id)`,
+//! advanced round-robin with bounded per-step bursts so a fast peer cannot
+//! starve a slow one. Outgoing datagrams can optionally pass through a
+//! seeded [`FaultInjector`] — the same fault model the in-process tests
+//! use, applied per-destination. `shards: 1` is the single-socket server;
+//! more shards scale it out:
 //!
 //! * **One socket per shard**, bound as an `SO_REUSEPORT` group (portable
 //!   fallback: clones of one socket), so shards receive concurrently with
@@ -19,15 +26,14 @@
 //! * **Mailbox forwarding.** The kernel's flow hash (or the portable
 //!   race-to-read fallback) does not consult [`shard_owner`], so a shard
 //!   may receive a datagram it does not own; it forwards the raw bytes to
-//!   the owner's [`Mailbox`] (a short mutexed queue — the only
+//!   the owner's `Mailbox` (a short mutexed queue — the only
 //!   cross-shard structure) and counts `net.shard_forwards`. Receive
 //!   traffic at a sender-side server is only feedback (requests, ACKs,
 //!   FINs), so forwarded volume is a small fraction of datagrams moved.
 //! * **Batched syscalls.** Frames are staged per shard and flushed with
 //!   `sendmmsg`; feedback drains with `poll` + `recvmmsg`
-//!   ([`crate::channel::BatchSocket`]). The legacy server keeps its
-//!   one-datagram-per-syscall loop precisely so the `server_capacity`
-//!   bench can report this module's ratio over it.
+//!   ([`crate::channel::BatchSocket`]). A `--cfg nc_portable_io` build
+//!   keeps the same loop on one datagram per syscall.
 //!
 //! The concurrency protocol (exactly-one-owner dispatch, mailbox
 //! no-loss, finish-ledger stop) is mirrored as an `nc_check` model in
@@ -41,16 +47,66 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use crate::channel::{BatchSocket, FaultInjector};
-use crate::server::{ServedTransfer, ServerConfig};
-use crate::session::{SenderEvent, SenderSession};
+use crate::channel::{BatchSocket, FaultInjector, FaultProfile};
+use crate::session::{SenderConfig, SenderEvent, SenderReport, SenderSession};
 use crate::wire::{ack_wire_bytes, Datagram, Payload, MAX_SEGMENTS};
 
-/// Tuning for the sharded server.
+/// Per-session and per-step tuning for the serve loop.
+#[derive(Clone, Debug)]
+pub struct ServerConfig {
+    /// Per-session sender tuning (pacing, redundancy, timeouts).
+    pub sender: SenderConfig,
+    /// Seeded fault profile applied to *outgoing* datagrams, if any.
+    pub faults: Option<(FaultProfile, u64)>,
+    /// Max coded frames one session may emit per scheduling step (fairness
+    /// bound across concurrent receivers).
+    pub burst_per_step: u32,
+    /// Upper bound on one blocking receive wait. Each shard sleeps until
+    /// its earliest session deadline (pacing, stall, announce-retry),
+    /// capped here so reaps and `serve` deadline checks stay responsive;
+    /// incoming datagrams interrupt the wait either way. This is a *cap*,
+    /// not a tick — an idle shard wakes at this cadence, not every 2ms.
+    pub poll_interval: Duration,
+    /// Kernel receive-buffer size to request on the server socket(s), so
+    /// feedback bursts from many concurrent receivers survive until the
+    /// next batched drain. `None` keeps the kernel default; best-effort
+    /// on the portable path (see [`BatchSocket::set_recv_buffer`]).
+    pub recv_buffer_bytes: Option<usize>,
+}
+
+impl Default for ServerConfig {
+    fn default() -> ServerConfig {
+        ServerConfig {
+            sender: SenderConfig::default(),
+            faults: None,
+            burst_per_step: 32,
+            poll_interval: Duration::from_millis(25),
+            recv_buffer_bytes: None,
+        }
+    }
+}
+
+/// One completed (or timed-out) transfer.
+#[derive(Clone, Debug)]
+pub struct ServedTransfer {
+    /// The receiver the stream was pushed to.
+    pub peer: SocketAddr,
+    /// The session id served.
+    pub session: u64,
+    /// Which shard served it (always 0 with one shard).
+    pub shard: usize,
+    /// Full sender-side statistics for the transfer.
+    pub report: SenderReport,
+    /// Per-session telemetry (`session.*` metrics) captured at reap time;
+    /// serializes via [`nc_telemetry::Snapshot::to_json`].
+    pub metrics: nc_telemetry::Snapshot,
+}
+
+/// Tuning for the server.
 #[derive(Clone, Debug)]
 pub struct ShardedServerConfig {
-    /// Per-session and per-step tuning, shared with the single-socket
-    /// server (`poll_interval` is the per-shard sleep cap here too).
+    /// Per-session and per-step tuning (`poll_interval` is the per-shard
+    /// sleep cap).
     pub server: ServerConfig,
     /// Number of sockets/session-maps/pinned workers.
     pub shards: usize,
@@ -167,8 +223,7 @@ impl ServeShared {
 }
 
 /// A multi-receiver coded-transport server sharded across sockets and
-/// pool workers. Same protocol and per-session behavior as
-/// [`crate::server::Server`]; different capacity envelope.
+/// pool workers; `shards: 1` serves from one socket on one worker.
 pub struct ShardedServer {
     config: ShardedServerConfig,
     sockets: Vec<BatchSocket>,
@@ -510,51 +565,76 @@ mod tests {
     #[test]
     fn sharded_server_serves_concurrent_receivers_bit_exact() {
         let (encoder, data) = stream(60_000, |i| (i % 239) as u8);
-        let config = ShardedServerConfig { shards: 4, ..ShardedServerConfig::default() };
-        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
-        server.publish(5, encoder.clone());
-        let addr = server.local_addr().unwrap();
+        for shards in [1, 4] {
+            let config = ShardedServerConfig { shards, ..ShardedServerConfig::default() };
+            let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
+            server.publish(5, encoder.clone());
+            let addr = server.local_addr().unwrap();
 
-        let handles: Vec<_> = (0..6)
-            // lint: allow(thread-spawn) — test driver threads; product threading goes through nc-pool.
-            .map(|_| std::thread::spawn(move || receive(addr, 5)))
-            .collect();
-        let transfers = server.serve(6, Duration::from_secs(60)).unwrap();
+            let handles: Vec<_> = (0..6)
+                // lint: allow(thread-spawn) — test driver threads; product threading goes through nc-pool.
+                .map(|_| std::thread::spawn(move || receive(addr, 5)))
+                .collect();
+            let transfers = server.serve(6, Duration::from_secs(60)).unwrap();
 
-        for handle in handles {
-            assert_eq!(handle.join().unwrap().as_deref(), Some(data.as_slice()), "bit-exact");
-        }
-        assert_eq!(transfers.len(), 6);
-        for t in &transfers {
-            assert!(t.shard < 4);
-            assert_eq!(t.report.segments_completed, t.report.segments_total);
-            assert_eq!(t.shard, shard_owner(t.peer, t.session, 4), "owner served it");
-            assert!(
-                t.metrics.counter("session.max_burst_per_step").is_some(),
-                "burst metric attached"
-            );
+            for handle in handles {
+                assert_eq!(handle.join().unwrap().as_deref(), Some(data.as_slice()), "bit-exact");
+            }
+            assert_eq!(transfers.len(), 6);
+            let peers: std::collections::HashSet<_> = transfers.iter().map(|t| t.peer).collect();
+            assert_eq!(peers.len(), 6, "one session per receiver");
+            for t in &transfers {
+                assert!(t.shard < shards);
+                assert!(t.report.overhead_ratio().is_some());
+                assert_eq!(t.report.segments_completed, t.report.segments_total);
+                assert_eq!(t.shard, shard_owner(t.peer, t.session, shards), "owner served it");
+                assert!(
+                    t.metrics.counter("session.max_burst_per_step").is_some(),
+                    "burst metric attached"
+                );
+            }
         }
     }
 
     #[test]
     fn sharded_server_survives_outgoing_faults() {
         let (encoder, data) = stream(20_000, |i| (i % 211) as u8);
-        let config = ShardedServerConfig {
-            shards: 2,
-            server: ServerConfig {
-                faults: Some((crate::channel::FaultProfile::lossy(0.15), 3)),
-                ..ServerConfig::default()
-            },
-            ..ShardedServerConfig::default()
-        };
-        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
-        server.publish(8, encoder);
-        let addr = server.local_addr().unwrap();
+        for faults in [FaultProfile::lossy(0.15), FaultProfile::hostile(0.2)] {
+            let config = ShardedServerConfig {
+                shards: 2,
+                server: ServerConfig { faults: Some((faults, 3)), ..ServerConfig::default() },
+                ..ShardedServerConfig::default()
+            };
+            let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
+            server.publish(8, encoder.clone());
+            let addr = server.local_addr().unwrap();
 
-        // lint: allow(thread-spawn) — test driver thread; product threading goes through nc-pool.
-        let handle = std::thread::spawn(move || receive(addr, 8));
-        let transfers = server.serve(1, Duration::from_secs(60)).unwrap();
-        assert_eq!(handle.join().unwrap().as_deref(), Some(data.as_slice()));
-        assert_eq!(transfers.len(), 1);
+            let dropped = crate::metrics::metrics().frames_dropped.get();
+            // lint: allow(thread-spawn) — test driver thread; product threading goes through nc-pool.
+            let handle = std::thread::spawn(move || receive(addr, 8));
+            let transfers = server.serve(1, Duration::from_secs(60)).unwrap();
+            assert_eq!(handle.join().unwrap().as_deref(), Some(data.as_slice()), "{faults:?}");
+            assert_eq!(transfers.len(), 1);
+            assert!(
+                crate::metrics::metrics().frames_dropped.get() > dropped
+                    || !nc_telemetry::enabled(),
+                "fault model was exercised"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_session_requests_and_garbage_are_ignored() {
+        let config = ShardedServerConfig { shards: 1, ..ShardedServerConfig::default() };
+        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
+        let addr = server.local_addr().unwrap();
+        let client = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let request = Datagram::new(12345, Payload::Request).encode().unwrap();
+        // lint: allow(raw-udp-io) — test client poking the server socket directly.
+        client.send_to(&request, addr).unwrap();
+        // lint: allow(raw-udp-io) — test client poking the server socket directly.
+        client.send_to(b"not a datagram at all", addr).unwrap();
+        let transfers = server.serve(1, Duration::from_millis(200)).unwrap();
+        assert!(transfers.is_empty(), "nothing published under 12345: {transfers:?}");
     }
 }

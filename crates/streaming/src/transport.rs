@@ -9,8 +9,8 @@
 //! against the profile's bitrate — the paper's Sec. 5.1.1 claim turned
 //! into an end-to-end check.
 
-use nc_net::server::{ServedTransfer, Server, ServerConfig};
 use nc_net::session::{SenderConfig, SenderReport};
+use nc_net::shard::{ServedTransfer, ServerConfig, ShardedServer, ShardedServerConfig};
 use nc_rlnc::stream::StreamEncoder;
 use nc_rlnc::CodingConfig;
 use std::io;
@@ -24,16 +24,15 @@ use crate::media::StreamProfile;
 /// bucket paces at the stream's coded byte rate times `headroom` (the
 /// slack that absorbs loss-driven redundancy; 1.0 = exactly the stream
 /// rate, the paper's NIC arithmetic assumes lossless links).
+///
+/// The burst stays at the transport default: a quarter second of a fast
+/// stream is hundreds of datagrams, which a batched server sends faster
+/// than a receiver with a default-sized socket buffer drains, so the
+/// overflow reads as loss and inflates redundancy.
 pub fn sender_config_for(profile: StreamProfile, headroom: f64) -> SenderConfig {
     assert!(headroom >= 1.0, "headroom below 1.0 cannot sustain the stream");
     let pace = profile.coded_bytes_per_peer() * headroom;
-    SenderConfig {
-        pace_bytes_per_s: Some(pace),
-        // One segment's worth of burst keeps startup latency at one RTT
-        // without letting the sender outrun the profile for long.
-        burst_bytes: (pace / 4.0).max(64.0 * 1024.0),
-        ..SenderConfig::default()
-    }
+    SenderConfig { pace_bytes_per_s: Some(pace), ..SenderConfig::default() }
 }
 
 /// Whether one finished transfer actually sustained its media profile.
@@ -64,11 +63,11 @@ pub fn assess(report: &SenderReport, profile: StreamProfile) -> Option<DeliveryA
 }
 
 /// A media-publishing wrapper around the transport's multi-receiver
-/// [`Server`]: streams are coded once with the server's `(n, k)`
-/// configuration and served to any number of requesting peers at
-/// profile-derived pace.
+/// [`ShardedServer`], run as one shard: streams are coded once with the
+/// server's `(n, k)` configuration and served to any number of requesting
+/// peers at profile-derived pace.
 pub struct MediaTransport {
-    server: Server,
+    server: ShardedServer,
     profile: StreamProfile,
     config: CodingConfig,
 }
@@ -86,9 +85,15 @@ impl MediaTransport {
         profile: StreamProfile,
         headroom: f64,
     ) -> io::Result<MediaTransport> {
-        let server_config =
-            ServerConfig { sender: sender_config_for(profile, headroom), ..Default::default() };
-        Ok(MediaTransport { server: Server::bind(addr, server_config)?, profile, config })
+        let server_config = ShardedServerConfig {
+            server: ServerConfig {
+                sender: sender_config_for(profile, headroom),
+                ..Default::default()
+            },
+            shards: 1,
+            ..Default::default()
+        };
+        Ok(MediaTransport { server: ShardedServer::bind(addr, server_config)?, profile, config })
     }
 
     /// The bound address peers request from.
@@ -167,6 +172,7 @@ mod tests {
         let config = sender_config_for(profile, 1.25);
         let pace = config.pace_bytes_per_s.unwrap();
         assert!((pace - 96_000.0 * 1.25).abs() < 1.0);
+        assert_eq!(config.burst_bytes, SenderConfig::default().burst_bytes);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 use extreme_nc::net::channel::{memory_pair, Channel, FaultProfile, FaultyChannel, UdpChannel};
 use extreme_nc::net::receiver::{run_receiver, ReceiverConfig, ReceiverEvent, ReceiverSession};
 use extreme_nc::net::sender::send_stream;
-use extreme_nc::net::server::ServerConfig;
 use extreme_nc::net::session::{SenderConfig, SenderOutcome, SenderReport};
-use extreme_nc::net::shard::{ShardedServer, ShardedServerConfig};
+use extreme_nc::net::shard::{ServerConfig, ShardedServer, ShardedServerConfig};
 use extreme_nc::net::wire::Datagram;
 use extreme_nc::rlnc::stream::{StreamEncoder, StreamFrame};
 use extreme_nc::rlnc::CodingConfig;
