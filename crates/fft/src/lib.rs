@@ -18,8 +18,8 @@
 //! * [`tables`] — field construction: Cantor-basis log/exp, FFT skews,
 //!   LogWalsh; built once behind a model-checked [`cell::TableCell`].
 //! * [`simd`] — split-plane region kernels (PSHUFB / NEON nibble tables
-//!   with a portable fallback), runtime-dispatched like `nc_gf256::simd`,
-//!   overridable with `NC_GF16_BACKEND`.
+//!   with a portable fallback), dispatched on `nc_gf256::simd`'s kernel
+//!   ladder, so `NC_GF_BACKEND` selects the rung for both fields.
 //! * [`afft`] — the additive FFT/IFFT butterflies and the formal
 //!   derivative, operating on whole shards region-at-a-time.
 //! * [`engine`] — [`engine::encode_segment`] / [`engine::decode_segment`]:

@@ -1,5 +1,5 @@
-//! GF(2^16) region kernels over the split-plane shard layout, with the
-//! same runtime dispatch discipline as [`nc_gf256::simd`].
+//! GF(2^16) region kernels over the split-plane shard layout, dispatched on
+//! the one [`nc_gf256::simd`] kernel ladder.
 //!
 //! # Shard layout
 //!
@@ -21,20 +21,29 @@
 //! out_hi = PSHUFB(T0_hi, x0) ^ PSHUFB(T1_hi, x1) ^ PSHUFB(T2_hi, x2) ^ PSHUFB(T3_hi, x3)
 //! ```
 //!
-//! where `x0..x3` are the four nibbles of the lo/hi source planes. The
-//! module provides an **SSSE3**, an **AVX2**, and an **AArch64 NEON**
-//! kernel plus a **portable** scalar walk over the same u16 tables,
-//! selected once and cached, overridable with `NC_GF16_BACKEND`
-//! (`portable` / `ssse3` / `avx2` / `neon`; unset or `auto` detects) —
-//! mirroring `NC_GF_BACKEND` for GF(2^8).
+//! where `x0..x3` are the four nibbles of the lo/hi source planes. Like
+//! `nc_gf256::simd`, each rung has one region body, `dst (^)= Σ m_j · src_j`
+//! over `N` sources with an `overwrite` flag, written over raw pointers:
+//! [`mul_add_assign`] is `N = 1` and [`mul_into`] is `N = 1` with
+//! `overwrite`. The module provides an **SSSE3**, an **AVX2** and an
+//! **AArch64 NEON** body plus a **portable** scalar walk over the same u16
+//! tables, which also finishes every vector body's tail.
+//!
+//! # Dispatch
+//!
+//! The rung is [`nc_gf256::simd::active_kernel`]: selected once per
+//! process and forced with `NC_GF_BACKEND`, for both fields. This ladder
+//! has no GFNI or AVX-512 body yet, so those rungs run the AVX2 body, and
+//! a rung the host lacks runs portably; [`active_kernel`] reports the rung
+//! that actually runs.
 //!
 //! Coefficients use *wrap* log semantics ([`Tables::mul_log`]): log 0 and
 //! log [`MODULUS`] are both multiply-by-one fast paths. The butterfly
 //! layer never forwards the skew table's zero-multiplier sentinel here.
 //!
 //! All kernels are tested bit-identical against the scalar field ops at
-//! every head/tail length (see `every_available_kernel_matches_scalar` in
-//! the module tests).
+//! every head/tail length (see `every_available_kernel_matches_scalar` in the module
+//! tests).
 
 // The only `unsafe` in the crate: straight mappings to documented vendor
 // intrinsics, feature-gated, with bounds stated per block — same contract
@@ -42,7 +51,10 @@
 #![allow(unsafe_code)]
 
 use crate::tables::{Tables, MODULUS};
-use std::sync::OnceLock;
+use nc_gf256::simd::SimdKernel;
+
+/// The GF(2^16) kernels dispatch on the GF(2^8) ladder's rungs.
+pub use nc_gf256::simd::SimdKernel as Gf16Kernel;
 
 /// Four 16-entry GF(2^16) product tables, one per source nibble:
 /// `tables[j][v] = (v << 4j) · m`.
@@ -78,79 +90,24 @@ fn byte_tables(t16: &NibbleTables) -> ByteTables {
     (lo, hi)
 }
 
-/// One concrete GF(2^16) region-kernel implementation.
-///
-/// Every variant exists on every architecture so ablation tooling compiles
-/// everywhere; an unavailable kernel runs portably.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Gf16Kernel {
-    /// Scalar walk over the u16 nibble tables: correct everywhere.
-    Portable,
-    /// x86-64 SSSE3 `PSHUFB`, 16 symbols per table-octet pass.
-    Ssse3,
-    /// x86-64 AVX2 `VPSHUFB`, 32 symbols per table-octet pass.
-    Avx2,
-    /// AArch64 NEON `TBL`, 16 symbols per table-octet pass.
-    Neon,
-}
-
-impl Gf16Kernel {
-    /// Human-readable kernel name (stable; used by reports and telemetry).
-    pub fn name(self) -> &'static str {
-        match self {
-            Gf16Kernel::Portable => "portable",
-            Gf16Kernel::Ssse3 => "ssse3",
-            Gf16Kernel::Avx2 => "avx2",
-            Gf16Kernel::Neon => "neon",
-        }
-    }
-
-    /// Whether this host can execute the kernel right now.
-    pub fn is_available(self) -> bool {
-        match self {
-            Gf16Kernel::Portable => true,
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Gf16Kernel::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Gf16Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "aarch64")]
-            Gf16Kernel::Neon => true,
-            #[allow(unreachable_patterns)]
-            _ => false,
-        }
-    }
-
-    /// Every kernel this host can execute, fastest first (portable always
-    /// present, always last).
-    pub fn available() -> Vec<Gf16Kernel> {
-        [Gf16Kernel::Avx2, Gf16Kernel::Neon, Gf16Kernel::Ssse3, Gf16Kernel::Portable]
-            .into_iter()
-            .filter(|k| k.is_available())
-            .collect()
+/// The rung that runs GF(2^16) regions when `kernel` is asked for: GFNI
+/// and AVX-512 run the AVX2 body, and a rung the host lacks runs portably.
+fn rung(kernel: SimdKernel) -> SimdKernel {
+    let rung = match kernel {
+        SimdKernel::Gfni | SimdKernel::Avx512 => SimdKernel::Avx2,
+        other => other,
+    };
+    if rung.is_available() {
+        rung
+    } else {
+        SimdKernel::Portable
     }
 }
 
-/// The kernel the crate dispatches to, detected once and cached.
-///
-/// Honors `NC_GF16_BACKEND`; a forced kernel the host lacks degrades to
-/// the best available one rather than crashing.
-pub fn active_kernel() -> Gf16Kernel {
-    static ACTIVE: OnceLock<Gf16Kernel> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        match backend_env().as_deref() {
-            Some("portable") => return Gf16Kernel::Portable,
-            Some("avx2") if Gf16Kernel::Avx2.is_available() => return Gf16Kernel::Avx2,
-            Some("ssse3") if Gf16Kernel::Ssse3.is_available() => return Gf16Kernel::Ssse3,
-            Some("neon") if Gf16Kernel::Neon.is_available() => return Gf16Kernel::Neon,
-            _ => {}
-        }
-        Gf16Kernel::available()[0]
-    })
-}
-
-fn backend_env() -> Option<String> {
-    std::env::var("NC_GF16_BACKEND").ok().map(|v| v.trim().to_ascii_lowercase())
+/// The rung GF(2^16) regions actually run on: the process-wide
+/// [`nc_gf256::simd::active_kernel`], mapped onto this ladder.
+pub fn active_kernel() -> SimdKernel {
+    rung(nc_gf256::simd::active_kernel())
 }
 
 // ---------------------------------------------------------------------------
@@ -161,52 +118,27 @@ fn backend_env() -> Option<String> {
 /// `dst ^= m · src` on the active kernel.
 #[inline]
 pub fn mul_add_assign(t: &Tables, dst: &mut [u8], src: &[u8], log_m: u16) {
-    mul_add_assign_with_kernel(active_kernel(), t, dst, src, log_m);
-}
-
-/// `dst = m · dst` in place on the active kernel.
-#[inline]
-pub fn mul_assign(t: &Tables, dst: &mut [u8], log_m: u16) {
-    mul_assign_with_kernel(active_kernel(), t, dst, log_m);
+    mul_add_assign_with_kernel(nc_gf256::simd::active_kernel(), t, dst, src, log_m);
 }
 
 /// `dst = m · src` (overwriting) on the active kernel.
 #[inline]
 pub fn mul_into(t: &Tables, dst: &mut [u8], src: &[u8], log_m: u16) {
-    mul_into_with_kernel(active_kernel(), t, dst, src, log_m);
-}
-
-/// `dst ^= src` over 8-byte words (plane structure is irrelevant to XOR;
-/// SSE-class hardware autovectorizes this loop, so it needs no dispatch).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn xor_assign(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "region length mismatch");
-    let mut d = dst.chunks_exact_mut(8);
-    let mut s = src.chunks_exact(8);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        let x = u64::from_le_bytes(dc.try_into().unwrap());
-        let y = u64::from_le_bytes(sc.try_into().unwrap());
-        dc.copy_from_slice(&(x ^ y).to_le_bytes());
-    }
-    for (db, sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *db ^= *sb;
-    }
+    mul_into_with_kernel(nc_gf256::simd::active_kernel(), t, dst, src, log_m);
 }
 
 // ---------------------------------------------------------------------------
 // Explicit-kernel entry points (benches, property tests, ablation).
 // ---------------------------------------------------------------------------
 
-/// `dst ^= m · src` on an explicit kernel; unavailable kernels run portably.
+/// `dst ^= m · src` on an explicit kernel (mapped as [`active_kernel`]
+/// describes).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length or the length is odd.
 pub fn mul_add_assign_with_kernel(
-    kernel: Gf16Kernel,
+    kernel: SimdKernel,
     t: &Tables,
     dst: &mut [u8],
     src: &[u8],
@@ -215,51 +147,14 @@ pub fn mul_add_assign_with_kernel(
     assert_eq!(dst.len(), src.len(), "region length mismatch");
     assert_eq!(dst.len() % 2, 0, "GF(2^16) regions carry whole symbols");
     if log_m == 0 || log_m == MODULUS {
-        return xor_assign(dst, src); // ×1 either way under wrap semantics
+        // ×1 either way under wrap semantics.
+        return nc_gf256::simd::xor_assign_with_kernel(kernel, dst, src);
     }
-    let t16 = nibble_tables(t, log_m);
-    match kernel {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Gf16Kernel::Avx2 if Gf16Kernel::Avx2.is_available() => {
-            // SAFETY: AVX2 availability was verified on this host above.
-            unsafe { x86::mul_add_avx2(dst, src, &t16) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Gf16Kernel::Ssse3 if Gf16Kernel::Ssse3.is_available() => {
-            // SAFETY: SSSE3 availability was verified on this host above.
-            unsafe { x86::mul_add_ssse3(dst, src, &t16) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Gf16Kernel::Neon => neon::mul_add_neon(dst, src, &t16),
-        _ => portable_mul_add(dst, src, &t16, 0),
-    }
-}
-
-/// `dst = m · dst` in place on an explicit kernel.
-///
-/// # Panics
-///
-/// Panics if the length is odd.
-pub fn mul_assign_with_kernel(kernel: Gf16Kernel, t: &Tables, dst: &mut [u8], log_m: u16) {
-    assert_eq!(dst.len() % 2, 0, "GF(2^16) regions carry whole symbols");
-    if log_m == 0 || log_m == MODULUS {
-        return; // ×1
-    }
-    let t16 = nibble_tables(t, log_m);
-    match kernel {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Gf16Kernel::Avx2 if Gf16Kernel::Avx2.is_available() => {
-            // SAFETY: AVX2 availability was verified on this host above.
-            unsafe { x86::mul_assign_avx2(dst, &t16) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Gf16Kernel::Ssse3 if Gf16Kernel::Ssse3.is_available() => {
-            // SAFETY: SSSE3 availability was verified on this host above.
-            unsafe { x86::mul_assign_ssse3(dst, &t16) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Gf16Kernel::Neon => neon::mul_assign_neon(dst, &t16),
-        _ => portable_mul_assign(dst, &t16, 0),
+    let half = dst.len() / 2;
+    // SAFETY: both slices are `2 * half` bytes (asserted above), and a
+    // unique borrow never overlaps a shared one.
+    unsafe {
+        region(kernel, dst.as_mut_ptr(), [src.as_ptr()], &[nibble_tables(t, log_m)], half, false)
     }
 }
 
@@ -269,7 +164,7 @@ pub fn mul_assign_with_kernel(kernel: Gf16Kernel, t: &Tables, dst: &mut [u8], lo
 ///
 /// Panics if the slices differ in length or the length is odd.
 pub fn mul_into_with_kernel(
-    kernel: Gf16Kernel,
+    kernel: SimdKernel,
     t: &Tables,
     dst: &mut [u8],
     src: &[u8],
@@ -280,22 +175,49 @@ pub fn mul_into_with_kernel(
     if log_m == 0 || log_m == MODULUS {
         return dst.copy_from_slice(src); // ×1
     }
-    let t16 = nibble_tables(t, log_m);
-    match kernel {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Gf16Kernel::Avx2 if Gf16Kernel::Avx2.is_available() => {
-            // SAFETY: AVX2 availability was verified on this host above.
-            unsafe { x86::mul_into_avx2(dst, src, &t16) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Gf16Kernel::Ssse3 if Gf16Kernel::Ssse3.is_available() => {
-            // SAFETY: SSSE3 availability was verified on this host above.
-            unsafe { x86::mul_into_ssse3(dst, src, &t16) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Gf16Kernel::Neon => neon::mul_into_neon(dst, src, &t16),
-        _ => portable_mul_into(dst, src, &t16, 0),
+    let half = dst.len() / 2;
+    // SAFETY: both slices are `2 * half` bytes (asserted above), and a
+    // unique borrow never overlaps a shared one.
+    unsafe {
+        region(kernel, dst.as_mut_ptr(), [src.as_ptr()], &[nibble_tables(t, log_m)], half, true)
     }
+}
+
+/// `dst (^)= Σ m_j · srcs[j]` over split-plane regions of `half` symbols:
+/// the one multiply-accumulate behind every region op (`overwrite` starts
+/// the sum from zero instead of `dst`). The rung's vector body handles
+/// what it can and the portable walk finishes the rest.
+///
+/// # Safety
+///
+/// `dst` must be valid for reads and writes of `2 * half` bytes and every
+/// `srcs[j]` valid for reads of `2 * half` bytes. A source may be `dst`
+/// itself but must not otherwise overlap it.
+unsafe fn region<const N: usize>(
+    kernel: SimdKernel,
+    dst: *mut u8,
+    srcs: [*const u8; N],
+    t16s: &[NibbleTables; N],
+    half: usize,
+    overwrite: bool,
+) {
+    // SAFETY: `rung` returns only a rung this host supports (NEON is
+    // architecturally guaranteed on AArch64) or `Portable`; the pointer
+    // contract is the caller's, passed through unchanged.
+    let done = unsafe {
+        match rung(kernel) {
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdKernel::Avx2 => x86::region_avx2(dst, srcs, t16s, half, overwrite),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdKernel::Ssse3 => x86::region_ssse3(dst, srcs, t16s, half, overwrite),
+            #[cfg(target_arch = "aarch64")]
+            SimdKernel::Neon => neon::region(dst, srcs, t16s, half, overwrite),
+            _ => 0,
+        }
+    };
+    // SAFETY: the caller's pointer contract, over the symbols the vector
+    // body left (`done..half`).
+    unsafe { portable(dst, srcs, t16s, done, half, overwrite) }
 }
 
 // ---------------------------------------------------------------------------
@@ -311,35 +233,36 @@ fn product(t16: &NibbleTables, lo: u8, hi: u8) -> u16 {
         ^ t16[3][usize::from(hi >> 4)]
 }
 
-fn portable_mul_add(dst: &mut [u8], src: &[u8], t16: &NibbleTables, from: usize) {
-    let half = dst.len() / 2;
-    let (dlo, dhi) = dst.split_at_mut(half);
-    let (slo, shi) = src.split_at(half);
+/// [`region`]'s sum over symbols `from..half`, one symbol at a time
+/// through the u16 nibble tables.
+///
+/// # Safety
+///
+/// [`region`]'s pointer contract.
+unsafe fn portable<const N: usize>(
+    dst: *mut u8,
+    srcs: [*const u8; N],
+    t16s: &[NibbleTables; N],
+    from: usize,
+    half: usize,
+    overwrite: bool,
+) {
     for i in from..half {
-        let p = product(t16, slo[i], shi[i]);
-        dlo[i] ^= p as u8;
-        dhi[i] ^= (p >> 8) as u8;
-    }
-}
-
-fn portable_mul_into(dst: &mut [u8], src: &[u8], t16: &NibbleTables, from: usize) {
-    let half = dst.len() / 2;
-    let (dlo, dhi) = dst.split_at_mut(half);
-    let (slo, shi) = src.split_at(half);
-    for i in from..half {
-        let p = product(t16, slo[i], shi[i]);
-        dlo[i] = p as u8;
-        dhi[i] = (p >> 8) as u8;
-    }
-}
-
-fn portable_mul_assign(dst: &mut [u8], t16: &NibbleTables, from: usize) {
-    let half = dst.len() / 2;
-    let (dlo, dhi) = dst.split_at_mut(half);
-    for i in from..half {
-        let p = product(t16, dlo[i], dhi[i]);
-        dlo[i] = p as u8;
-        dhi[i] = (p >> 8) as u8;
+        // SAFETY: `i < half` keeps both plane accesses (`i`, `half + i`)
+        // inside the caller's regions, and each source symbol is read
+        // before `dst`'s symbol `i` is written.
+        unsafe {
+            let mut p = if overwrite {
+                0
+            } else {
+                u16::from(*dst.add(i)) | u16::from(*dst.add(half + i)) << 8
+            };
+            for j in 0..N {
+                p ^= product(&t16s[j], *srcs[j].add(i), *srcs[j].add(half + i));
+            }
+            *dst.add(i) = p as u8;
+            *dst.add(half + i) = (p >> 8) as u8;
+        }
     }
 }
 
@@ -349,369 +272,206 @@ fn portable_mul_assign(dst: &mut [u8], t16: &NibbleTables, from: usize) {
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    use super::{
-        byte_tables, portable_mul_add, portable_mul_assign, portable_mul_into, NibbleTables,
-    };
+    use super::{byte_tables, NibbleTables};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// Runs the split-plane product over all full 16-symbol chunks,
-    /// XOR-accumulating into `dst` (or overwriting it); returns the number
-    /// of symbols processed so callers finish the tail portably.
+    /// SSSE3 `PSHUFB` body of [`super::region`] over whole 16-symbol
+    /// chunks; returns the symbols processed so the caller finishes the
+    /// tail portably.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the host supports SSSE3 and that `dst` and `src`
-    /// are equal even lengths.
+    /// The host must support SSSE3, and the pointers must satisfy
+    /// [`super::region`]'s contract.
     #[target_feature(enable = "ssse3")]
-    unsafe fn body_ssse3(dst: &mut [u8], src: &[u8], t16: &NibbleTables, overwrite: bool) -> usize {
-        let (lo_b, hi_b) = byte_tables(t16);
-        let half = dst.len() / 2;
+    pub(super) unsafe fn region_ssse3<const N: usize>(
+        dst: *mut u8,
+        srcs: [*const u8; N],
+        t16s: &[NibbleTables; N],
+        half: usize,
+        overwrite: bool,
+    ) -> usize {
         // SAFETY: table loads read 16 bytes from 16-byte arrays; plane
         // accesses at offsets `i` and `half + i` are bounded by
-        // `i + 16 <= half` (equal even lengths guaranteed by the caller),
-        // and unaligned loadu/storeu forms are used throughout.
+        // `i + 16 <= half` (the caller's pointer contract), each chunk's
+        // sources are loaded before its stores, and the unaligned
+        // loadu/storeu forms are used throughout.
         unsafe {
-            let mut tl = [_mm_setzero_si128(); 4];
-            let mut th = [_mm_setzero_si128(); 4];
-            for j in 0..4 {
-                tl[j] = _mm_loadu_si128(lo_b[j].as_ptr().cast());
-                th[j] = _mm_loadu_si128(hi_b[j].as_ptr().cast());
+            let mut tl = [[_mm_setzero_si128(); 4]; N];
+            let mut th = [[_mm_setzero_si128(); 4]; N];
+            for j in 0..N {
+                let (lo_b, hi_b) = byte_tables(&t16s[j]);
+                for n in 0..4 {
+                    tl[j][n] = _mm_loadu_si128(lo_b[n].as_ptr().cast());
+                    th[j][n] = _mm_loadu_si128(hi_b[n].as_ptr().cast());
+                }
             }
             let mask = _mm_set1_epi8(0x0F);
             let mut i = 0;
             while i + 16 <= half {
-                let s_lo = _mm_loadu_si128(src.as_ptr().add(i).cast());
-                let s_hi = _mm_loadu_si128(src.as_ptr().add(half + i).cast());
-                let x0 = _mm_and_si128(s_lo, mask);
-                let x1 = _mm_and_si128(_mm_srli_epi64::<4>(s_lo), mask);
-                let x2 = _mm_and_si128(s_hi, mask);
-                let x3 = _mm_and_si128(_mm_srli_epi64::<4>(s_hi), mask);
-                let mut p_lo = _mm_xor_si128(
-                    _mm_xor_si128(_mm_shuffle_epi8(tl[0], x0), _mm_shuffle_epi8(tl[1], x1)),
-                    _mm_xor_si128(_mm_shuffle_epi8(tl[2], x2), _mm_shuffle_epi8(tl[3], x3)),
-                );
-                let mut p_hi = _mm_xor_si128(
-                    _mm_xor_si128(_mm_shuffle_epi8(th[0], x0), _mm_shuffle_epi8(th[1], x1)),
-                    _mm_xor_si128(_mm_shuffle_epi8(th[2], x2), _mm_shuffle_epi8(th[3], x3)),
-                );
-                if !overwrite {
-                    p_lo = _mm_xor_si128(p_lo, _mm_loadu_si128(dst.as_ptr().add(i).cast()));
-                    p_hi = _mm_xor_si128(p_hi, _mm_loadu_si128(dst.as_ptr().add(half + i).cast()));
+                let (mut p_lo, mut p_hi) = if overwrite {
+                    (_mm_setzero_si128(), _mm_setzero_si128())
+                } else {
+                    (_mm_loadu_si128(dst.add(i).cast()), _mm_loadu_si128(dst.add(half + i).cast()))
+                };
+                for j in 0..N {
+                    let s_lo = _mm_loadu_si128(srcs[j].add(i).cast());
+                    let s_hi = _mm_loadu_si128(srcs[j].add(half + i).cast());
+                    let x = [
+                        _mm_and_si128(s_lo, mask),
+                        _mm_and_si128(_mm_srli_epi64::<4>(s_lo), mask),
+                        _mm_and_si128(s_hi, mask),
+                        _mm_and_si128(_mm_srli_epi64::<4>(s_hi), mask),
+                    ];
+                    for n in 0..4 {
+                        p_lo = _mm_xor_si128(p_lo, _mm_shuffle_epi8(tl[j][n], x[n]));
+                        p_hi = _mm_xor_si128(p_hi, _mm_shuffle_epi8(th[j][n], x[n]));
+                    }
                 }
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), p_lo);
-                _mm_storeu_si128(dst.as_mut_ptr().add(half + i).cast(), p_hi);
+                _mm_storeu_si128(dst.add(i).cast(), p_lo);
+                _mm_storeu_si128(dst.add(half + i).cast(), p_hi);
                 i += 16;
             }
             i
         }
     }
 
-    /// # Safety: host must support SSSE3; equal even lengths.
-    pub(super) unsafe fn mul_add_ssse3(dst: &mut [u8], src: &[u8], t16: &NibbleTables) {
-        // SAFETY: the caller's contract is exactly `body_ssse3`'s.
-        let done = unsafe { body_ssse3(dst, src, t16, false) };
-        portable_mul_add(dst, src, t16, done);
-    }
-
-    /// # Safety: host must support SSSE3; equal even lengths.
-    pub(super) unsafe fn mul_into_ssse3(dst: &mut [u8], src: &[u8], t16: &NibbleTables) {
-        // SAFETY: the caller's contract is exactly `body_ssse3`'s.
-        let done = unsafe { body_ssse3(dst, src, t16, true) };
-        portable_mul_into(dst, src, t16, done);
-    }
-
-    /// In-place `dst = m · dst`, dedicated body: a `&[u8]`/`&mut [u8]`
-    /// pair over one buffer would be aliasing UB, so every access goes
-    /// through `dst`'s own pointer, each chunk fully read before stored.
+    /// AVX2 `VPSHUFB` body of [`super::region`] over whole 32-symbol
+    /// chunks (the 16-byte tables broadcast to both lanes); returns the
+    /// symbols processed.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the host supports SSSE3 and `dst.len()` is even.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn body_inplace_ssse3(dst: &mut [u8], t16: &NibbleTables) -> usize {
-        let (lo_b, hi_b) = byte_tables(t16);
-        let half = dst.len() / 2;
-        // SAFETY: accesses at `i` and `half + i` are bounded by
-        // `i + 16 <= half`; all through `dst`'s own pointer, unaligned
-        // forms throughout.
-        unsafe {
-            let mut tl = [_mm_setzero_si128(); 4];
-            let mut th = [_mm_setzero_si128(); 4];
-            for j in 0..4 {
-                tl[j] = _mm_loadu_si128(lo_b[j].as_ptr().cast());
-                th[j] = _mm_loadu_si128(hi_b[j].as_ptr().cast());
-            }
-            let mask = _mm_set1_epi8(0x0F);
-            let mut i = 0;
-            while i + 16 <= half {
-                let s_lo = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-                let s_hi = _mm_loadu_si128(dst.as_ptr().add(half + i).cast());
-                let x0 = _mm_and_si128(s_lo, mask);
-                let x1 = _mm_and_si128(_mm_srli_epi64::<4>(s_lo), mask);
-                let x2 = _mm_and_si128(s_hi, mask);
-                let x3 = _mm_and_si128(_mm_srli_epi64::<4>(s_hi), mask);
-                let p_lo = _mm_xor_si128(
-                    _mm_xor_si128(_mm_shuffle_epi8(tl[0], x0), _mm_shuffle_epi8(tl[1], x1)),
-                    _mm_xor_si128(_mm_shuffle_epi8(tl[2], x2), _mm_shuffle_epi8(tl[3], x3)),
-                );
-                let p_hi = _mm_xor_si128(
-                    _mm_xor_si128(_mm_shuffle_epi8(th[0], x0), _mm_shuffle_epi8(th[1], x1)),
-                    _mm_xor_si128(_mm_shuffle_epi8(th[2], x2), _mm_shuffle_epi8(th[3], x3)),
-                );
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), p_lo);
-                _mm_storeu_si128(dst.as_mut_ptr().add(half + i).cast(), p_hi);
-                i += 16;
-            }
-            i
-        }
-    }
-
-    /// # Safety: host must support SSSE3; even length.
-    pub(super) unsafe fn mul_assign_ssse3(dst: &mut [u8], t16: &NibbleTables) {
-        // SAFETY: the caller's contract is exactly `body_inplace_ssse3`'s.
-        let done = unsafe { body_inplace_ssse3(dst, t16) };
-        portable_mul_assign(dst, t16, done);
-    }
-
-    /// # Safety: host must support AVX2; equal even lengths.
+    /// The host must support AVX2, and the pointers must satisfy
+    /// [`super::region`]'s contract.
     #[target_feature(enable = "avx2")]
-    unsafe fn body_avx2(dst: &mut [u8], src: &[u8], t16: &NibbleTables, overwrite: bool) -> usize {
-        let (lo_b, hi_b) = byte_tables(t16);
-        let half = dst.len() / 2;
+    pub(super) unsafe fn region_avx2<const N: usize>(
+        dst: *mut u8,
+        srcs: [*const u8; N],
+        t16s: &[NibbleTables; N],
+        half: usize,
+        overwrite: bool,
+    ) -> usize {
         // SAFETY: table loads read 16 bytes from 16-byte arrays (then
         // broadcast in-register); plane accesses at `i` / `half + i` are
-        // bounded by `i + 32 <= half`; unaligned forms throughout.
+        // bounded by `i + 32 <= half` (the caller's pointer contract), each
+        // chunk's sources are loaded before its stores, and the unaligned
+        // forms are used throughout.
         unsafe {
-            let mut tl = [_mm256_setzero_si256(); 4];
-            let mut th = [_mm256_setzero_si256(); 4];
-            for j in 0..4 {
-                tl[j] = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo_b[j].as_ptr().cast()));
-                th[j] = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi_b[j].as_ptr().cast()));
-            }
-            let mask = _mm256_set1_epi8(0x0F);
-            let mut i = 0;
-            while i + 32 <= half {
-                let s_lo = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-                let s_hi = _mm256_loadu_si256(src.as_ptr().add(half + i).cast());
-                let x0 = _mm256_and_si256(s_lo, mask);
-                let x1 = _mm256_and_si256(_mm256_srli_epi64::<4>(s_lo), mask);
-                let x2 = _mm256_and_si256(s_hi, mask);
-                let x3 = _mm256_and_si256(_mm256_srli_epi64::<4>(s_hi), mask);
-                let mut p_lo = _mm256_xor_si256(
-                    _mm256_xor_si256(
-                        _mm256_shuffle_epi8(tl[0], x0),
-                        _mm256_shuffle_epi8(tl[1], x1),
-                    ),
-                    _mm256_xor_si256(
-                        _mm256_shuffle_epi8(tl[2], x2),
-                        _mm256_shuffle_epi8(tl[3], x3),
-                    ),
-                );
-                let mut p_hi = _mm256_xor_si256(
-                    _mm256_xor_si256(
-                        _mm256_shuffle_epi8(th[0], x0),
-                        _mm256_shuffle_epi8(th[1], x1),
-                    ),
-                    _mm256_xor_si256(
-                        _mm256_shuffle_epi8(th[2], x2),
-                        _mm256_shuffle_epi8(th[3], x3),
-                    ),
-                );
-                if !overwrite {
-                    p_lo = _mm256_xor_si256(p_lo, _mm256_loadu_si256(dst.as_ptr().add(i).cast()));
-                    p_hi = _mm256_xor_si256(
-                        p_hi,
-                        _mm256_loadu_si256(dst.as_ptr().add(half + i).cast()),
-                    );
+            let mut tl = [[_mm256_setzero_si256(); 4]; N];
+            let mut th = [[_mm256_setzero_si256(); 4]; N];
+            for j in 0..N {
+                let (lo_b, hi_b) = byte_tables(&t16s[j]);
+                for n in 0..4 {
+                    tl[j][n] =
+                        _mm256_broadcastsi128_si256(_mm_loadu_si128(lo_b[n].as_ptr().cast()));
+                    th[j][n] =
+                        _mm256_broadcastsi128_si256(_mm_loadu_si128(hi_b[n].as_ptr().cast()));
                 }
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), p_lo);
-                _mm256_storeu_si256(dst.as_mut_ptr().add(half + i).cast(), p_hi);
-                i += 32;
-            }
-            i
-        }
-    }
-
-    /// # Safety: host must support AVX2; equal even lengths.
-    pub(super) unsafe fn mul_add_avx2(dst: &mut [u8], src: &[u8], t16: &NibbleTables) {
-        // SAFETY: the caller's contract is exactly `body_avx2`'s.
-        let done = unsafe { body_avx2(dst, src, t16, false) };
-        portable_mul_add(dst, src, t16, done);
-    }
-
-    /// # Safety: host must support AVX2; equal even lengths.
-    pub(super) unsafe fn mul_into_avx2(dst: &mut [u8], src: &[u8], t16: &NibbleTables) {
-        // SAFETY: the caller's contract is exactly `body_avx2`'s.
-        let done = unsafe { body_avx2(dst, src, t16, true) };
-        portable_mul_into(dst, src, t16, done);
-    }
-
-    /// In-place AVX2 body, dedicated for the same aliasing reason as
-    /// `body_inplace_ssse3`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the host supports AVX2 and `dst.len()` is even.
-    #[target_feature(enable = "avx2")]
-    unsafe fn body_inplace_avx2(dst: &mut [u8], t16: &NibbleTables) -> usize {
-        let (lo_b, hi_b) = byte_tables(t16);
-        let half = dst.len() / 2;
-        // SAFETY: accesses at `i` / `half + i` bounded by `i + 32 <= half`,
-        // all through `dst`'s own pointer, unaligned forms throughout.
-        unsafe {
-            let mut tl = [_mm256_setzero_si256(); 4];
-            let mut th = [_mm256_setzero_si256(); 4];
-            for j in 0..4 {
-                tl[j] = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo_b[j].as_ptr().cast()));
-                th[j] = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi_b[j].as_ptr().cast()));
             }
             let mask = _mm256_set1_epi8(0x0F);
             let mut i = 0;
             while i + 32 <= half {
-                let s_lo = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-                let s_hi = _mm256_loadu_si256(dst.as_ptr().add(half + i).cast());
-                let x0 = _mm256_and_si256(s_lo, mask);
-                let x1 = _mm256_and_si256(_mm256_srli_epi64::<4>(s_lo), mask);
-                let x2 = _mm256_and_si256(s_hi, mask);
-                let x3 = _mm256_and_si256(_mm256_srli_epi64::<4>(s_hi), mask);
-                let p_lo = _mm256_xor_si256(
-                    _mm256_xor_si256(
-                        _mm256_shuffle_epi8(tl[0], x0),
-                        _mm256_shuffle_epi8(tl[1], x1),
-                    ),
-                    _mm256_xor_si256(
-                        _mm256_shuffle_epi8(tl[2], x2),
-                        _mm256_shuffle_epi8(tl[3], x3),
-                    ),
-                );
-                let p_hi = _mm256_xor_si256(
-                    _mm256_xor_si256(
-                        _mm256_shuffle_epi8(th[0], x0),
-                        _mm256_shuffle_epi8(th[1], x1),
-                    ),
-                    _mm256_xor_si256(
-                        _mm256_shuffle_epi8(th[2], x2),
-                        _mm256_shuffle_epi8(th[3], x3),
-                    ),
-                );
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), p_lo);
-                _mm256_storeu_si256(dst.as_mut_ptr().add(half + i).cast(), p_hi);
+                let (mut p_lo, mut p_hi) = if overwrite {
+                    (_mm256_setzero_si256(), _mm256_setzero_si256())
+                } else {
+                    (
+                        _mm256_loadu_si256(dst.add(i).cast()),
+                        _mm256_loadu_si256(dst.add(half + i).cast()),
+                    )
+                };
+                for j in 0..N {
+                    let s_lo = _mm256_loadu_si256(srcs[j].add(i).cast());
+                    let s_hi = _mm256_loadu_si256(srcs[j].add(half + i).cast());
+                    let x = [
+                        _mm256_and_si256(s_lo, mask),
+                        _mm256_and_si256(_mm256_srli_epi64::<4>(s_lo), mask),
+                        _mm256_and_si256(s_hi, mask),
+                        _mm256_and_si256(_mm256_srli_epi64::<4>(s_hi), mask),
+                    ];
+                    for n in 0..4 {
+                        p_lo = _mm256_xor_si256(p_lo, _mm256_shuffle_epi8(tl[j][n], x[n]));
+                        p_hi = _mm256_xor_si256(p_hi, _mm256_shuffle_epi8(th[j][n], x[n]));
+                    }
+                }
+                _mm256_storeu_si256(dst.add(i).cast(), p_lo);
+                _mm256_storeu_si256(dst.add(half + i).cast(), p_hi);
                 i += 32;
             }
             i
         }
-    }
-
-    /// # Safety: host must support AVX2; even length.
-    pub(super) unsafe fn mul_assign_avx2(dst: &mut [u8], t16: &NibbleTables) {
-        // SAFETY: the caller's contract is exactly `body_inplace_avx2`'s.
-        let done = unsafe { body_inplace_avx2(dst, t16) };
-        portable_mul_assign(dst, t16, done);
     }
 }
 
 // ---------------------------------------------------------------------------
-// AArch64 NEON TBL kernels. NEON is mandatory on AArch64, so these are safe
-// fns — the only unsafety is the raw-pointer loads, bounded like x86's.
+// AArch64 NEON TBL kernel (NEON is mandatory on AArch64).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{
-        byte_tables, portable_mul_add, portable_mul_assign, portable_mul_into, NibbleTables,
-    };
+    use super::{byte_tables, NibbleTables};
     use std::arch::aarch64::*;
 
-    fn body(dst: &mut [u8], src: &[u8], t16: &NibbleTables, overwrite: bool) -> usize {
-        let (lo_b, hi_b) = byte_tables(t16);
-        let half = dst.len() / 2;
-        // SAFETY: NEON is architecturally guaranteed on AArch64; plane
-        // accesses at `i` / `half + i` are bounded by `i + 16 <= half`.
+    /// NEON `TBL` body of [`super::region`] over whole 16-symbol chunks;
+    /// returns the symbols processed.
+    ///
+    /// # Safety
+    ///
+    /// The pointers must satisfy [`super::region`]'s contract (NEON itself
+    /// is architecturally guaranteed on AArch64).
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn region<const N: usize>(
+        dst: *mut u8,
+        srcs: [*const u8; N],
+        t16s: &[NibbleTables; N],
+        half: usize,
+        overwrite: bool,
+    ) -> usize {
+        // SAFETY: table loads read 16 bytes from 16-byte arrays; plane
+        // accesses at `i` / `half + i` are bounded by `i + 16 <= half` (the
+        // caller's pointer contract), and each chunk's sources are loaded
+        // before its stores.
         unsafe {
-            let mut tl = [vdupq_n_u8(0); 4];
-            let mut th = [vdupq_n_u8(0); 4];
-            for j in 0..4 {
-                tl[j] = vld1q_u8(lo_b[j].as_ptr());
-                th[j] = vld1q_u8(hi_b[j].as_ptr());
+            let mut tl = [[vdupq_n_u8(0); 4]; N];
+            let mut th = [[vdupq_n_u8(0); 4]; N];
+            for j in 0..N {
+                let (lo_b, hi_b) = byte_tables(&t16s[j]);
+                for n in 0..4 {
+                    tl[j][n] = vld1q_u8(lo_b[n].as_ptr());
+                    th[j][n] = vld1q_u8(hi_b[n].as_ptr());
+                }
             }
             let mask = vdupq_n_u8(0x0F);
             let mut i = 0;
             while i + 16 <= half {
-                let s_lo = vld1q_u8(src.as_ptr().add(i));
-                let s_hi = vld1q_u8(src.as_ptr().add(half + i));
-                let x0 = vandq_u8(s_lo, mask);
-                let x1 = vshrq_n_u8(s_lo, 4);
-                let x2 = vandq_u8(s_hi, mask);
-                let x3 = vshrq_n_u8(s_hi, 4);
-                let mut p_lo = veorq_u8(
-                    veorq_u8(vqtbl1q_u8(tl[0], x0), vqtbl1q_u8(tl[1], x1)),
-                    veorq_u8(vqtbl1q_u8(tl[2], x2), vqtbl1q_u8(tl[3], x3)),
-                );
-                let mut p_hi = veorq_u8(
-                    veorq_u8(vqtbl1q_u8(th[0], x0), vqtbl1q_u8(th[1], x1)),
-                    veorq_u8(vqtbl1q_u8(th[2], x2), vqtbl1q_u8(th[3], x3)),
-                );
-                if !overwrite {
-                    p_lo = veorq_u8(p_lo, vld1q_u8(dst.as_ptr().add(i)));
-                    p_hi = veorq_u8(p_hi, vld1q_u8(dst.as_ptr().add(half + i)));
+                let (mut p_lo, mut p_hi) = if overwrite {
+                    (vdupq_n_u8(0), vdupq_n_u8(0))
+                } else {
+                    (vld1q_u8(dst.add(i)), vld1q_u8(dst.add(half + i)))
+                };
+                for j in 0..N {
+                    let s_lo = vld1q_u8(srcs[j].add(i));
+                    let s_hi = vld1q_u8(srcs[j].add(half + i));
+                    let x = [
+                        vandq_u8(s_lo, mask),
+                        vshrq_n_u8(s_lo, 4),
+                        vandq_u8(s_hi, mask),
+                        vshrq_n_u8(s_hi, 4),
+                    ];
+                    for n in 0..4 {
+                        p_lo = veorq_u8(p_lo, vqtbl1q_u8(tl[j][n], x[n]));
+                        p_hi = veorq_u8(p_hi, vqtbl1q_u8(th[j][n], x[n]));
+                    }
                 }
-                vst1q_u8(dst.as_mut_ptr().add(i), p_lo);
-                vst1q_u8(dst.as_mut_ptr().add(half + i), p_hi);
+                vst1q_u8(dst.add(i), p_lo);
+                vst1q_u8(dst.add(half + i), p_hi);
                 i += 16;
             }
             i
         }
-    }
-
-    pub(super) fn mul_add_neon(dst: &mut [u8], src: &[u8], t16: &NibbleTables) {
-        let done = body(dst, src, t16, false);
-        portable_mul_add(dst, src, t16, done);
-    }
-
-    pub(super) fn mul_into_neon(dst: &mut [u8], src: &[u8], t16: &NibbleTables) {
-        let done = body(dst, src, t16, true);
-        portable_mul_into(dst, src, t16, done);
-    }
-
-    pub(super) fn mul_assign_neon(dst: &mut [u8], t16: &NibbleTables) {
-        let (lo_b, hi_b) = byte_tables(t16);
-        let half = dst.len() / 2;
-        // SAFETY: as `body`, in-place: every chunk pair is fully read
-        // before either store, all through `dst`'s own pointer.
-        let done = unsafe {
-            let mut tl = [vdupq_n_u8(0); 4];
-            let mut th = [vdupq_n_u8(0); 4];
-            for j in 0..4 {
-                tl[j] = vld1q_u8(lo_b[j].as_ptr());
-                th[j] = vld1q_u8(hi_b[j].as_ptr());
-            }
-            let mask = vdupq_n_u8(0x0F);
-            let mut i = 0;
-            while i + 16 <= half {
-                let s_lo = vld1q_u8(dst.as_ptr().add(i));
-                let s_hi = vld1q_u8(dst.as_ptr().add(half + i));
-                let x0 = vandq_u8(s_lo, mask);
-                let x1 = vshrq_n_u8(s_lo, 4);
-                let x2 = vandq_u8(s_hi, mask);
-                let x3 = vshrq_n_u8(s_hi, 4);
-                let p_lo = veorq_u8(
-                    veorq_u8(vqtbl1q_u8(tl[0], x0), vqtbl1q_u8(tl[1], x1)),
-                    veorq_u8(vqtbl1q_u8(tl[2], x2), vqtbl1q_u8(tl[3], x3)),
-                );
-                let p_hi = veorq_u8(
-                    veorq_u8(vqtbl1q_u8(th[0], x0), vqtbl1q_u8(th[1], x1)),
-                    veorq_u8(vqtbl1q_u8(th[2], x2), vqtbl1q_u8(th[3], x3)),
-                );
-                vst1q_u8(dst.as_mut_ptr().add(i), p_lo);
-                vst1q_u8(dst.as_mut_ptr().add(half + i), p_hi);
-                i += 16;
-            }
-            i
-        };
-        portable_mul_assign(dst, t16, done);
     }
 }
 
@@ -719,6 +479,25 @@ mod neon {
 mod tests {
     use super::*;
     use crate::tables::tables;
+
+    /// Every variant, native ones first and then each one this host lacks
+    /// (those must run portably, not fault).
+    fn kernels_under_test() -> Vec<SimdKernel> {
+        let mut ks = SimdKernel::available();
+        for k in [
+            SimdKernel::Gfni,
+            SimdKernel::Avx512,
+            SimdKernel::Avx2,
+            SimdKernel::Ssse3,
+            SimdKernel::Neon,
+            SimdKernel::Portable,
+        ] {
+            if !ks.contains(&k) {
+                ks.push(k);
+            }
+        }
+        ks
+    }
 
     /// Symbol-by-symbol scalar reference through `Tables::mul`.
     fn reference_mul_add(t: &Tables, dst: &[u8], src: &[u8], m: u16) -> Vec<u8> {
@@ -734,22 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn detection_is_cached_and_consistent() {
-        let first = active_kernel();
-        for _ in 0..3 {
-            assert_eq!(active_kernel(), first);
-        }
-        assert!(first.is_available());
-        assert!(Gf16Kernel::available().contains(&first));
-    }
-
-    #[test]
-    fn portable_is_always_available_and_last() {
-        assert!(Gf16Kernel::Portable.is_available());
-        assert_eq!(*Gf16Kernel::available().last().unwrap(), Gf16Kernel::Portable);
-    }
-
-    #[test]
     fn every_available_kernel_matches_scalar() {
         let t = tables();
         for len in [0usize, 2, 30, 32, 34, 62, 64, 66, 126, 130, 258] {
@@ -758,19 +521,15 @@ mod tests {
             for m in [1u16, 2, 3, 0x1234, 0x8000, 0xFFFF] {
                 let log_m = t.log[usize::from(m)];
                 let want = reference_mul_add(&t, &dst0, &src, m);
-                for kernel in Gf16Kernel::available() {
+                let pure = reference_mul_add(&t, &vec![0u8; len], &src, m);
+                for kernel in kernels_under_test() {
                     let mut dst = dst0.clone();
                     mul_add_assign_with_kernel(kernel, &t, &mut dst, &src, log_m);
                     assert_eq!(dst, want, "mul_add kernel {kernel:?}, m={m:#x}, len={len}");
 
                     let mut dst = dst0.clone();
                     mul_into_with_kernel(kernel, &t, &mut dst, &src, log_m);
-                    let pure: Vec<u8> = reference_mul_add(&t, &vec![0u8; len], &src, m);
                     assert_eq!(dst, pure, "mul_into kernel {kernel:?}, m={m:#x}, len={len}");
-
-                    let mut dst = src.clone();
-                    mul_assign_with_kernel(kernel, &t, &mut dst, log_m);
-                    assert_eq!(dst, pure, "mul_assign kernel {kernel:?}, m={m:#x}, len={len}");
                 }
             }
         }
@@ -781,40 +540,40 @@ mod tests {
         let t = tables();
         let src: Vec<u8> = (0..66).map(|i| (i * 3 + 1) as u8).collect();
         for log_m in [0u16, MODULUS] {
-            for kernel in Gf16Kernel::available() {
+            for kernel in kernels_under_test() {
                 let mut dst = vec![0u8; 66];
                 mul_add_assign_with_kernel(kernel, &t, &mut dst, &src, log_m);
                 assert_eq!(dst, src, "×1 must reduce to xor (kernel {kernel:?})");
-                let mut inplace = src.clone();
-                mul_assign_with_kernel(kernel, &t, &mut inplace, log_m);
-                assert_eq!(inplace, src);
+                let mut copy = vec![0xAA; 66];
+                mul_into_with_kernel(kernel, &t, &mut copy, &src, log_m);
+                assert_eq!(copy, src, "×1 must reduce to a copy (kernel {kernel:?})");
             }
         }
     }
 
     #[test]
     fn unavailable_kernel_falls_back_portably() {
-        let foreign = [Gf16Kernel::Avx2, Gf16Kernel::Ssse3, Gf16Kernel::Neon]
-            .into_iter()
-            .find(|k| !k.is_available());
-        let Some(kernel) = foreign else {
-            return; // host supports everything it could name
-        };
+        // Every variant maps to a rung this host can run: GFNI and AVX-512
+        // onto the AVX2 body, anything else the host lacks onto the
+        // portable walk — and the bytes do not depend on which.
         let t = tables();
         let src: Vec<u8> = (0..64).map(|i| i as u8).collect();
-        let mut dst = vec![0xAA; 64];
-        let want = reference_mul_add(&t, &dst, &src, 0x1D2C);
-        mul_add_assign_with_kernel(kernel, &t, &mut dst, &src, t.log[0x1D2C]);
-        assert_eq!(dst, want);
-    }
-
-    #[test]
-    fn xor_assign_is_plain_xor() {
-        let a: Vec<u8> = (0..98).map(|i| (i * 5) as u8).collect();
-        let b: Vec<u8> = (0..98).map(|i| (i * 11 + 3) as u8).collect();
-        let want: Vec<u8> = a.iter().zip(&b).map(|(&x, &y)| x ^ y).collect();
-        let mut dst = a.clone();
-        xor_assign(&mut dst, &b);
-        assert_eq!(dst, want);
+        let want = reference_mul_add(&t, &[0xAA; 64], &src, 0x1D2C);
+        for kernel in kernels_under_test() {
+            let ran = rung(kernel);
+            assert!(ran.is_available(), "{kernel:?} ran on unavailable {ran:?}");
+            let expected = match kernel {
+                SimdKernel::Gfni | SimdKernel::Avx512 => SimdKernel::Avx2,
+                other => other,
+            };
+            if expected.is_available() {
+                assert_eq!(ran, expected, "kernel {kernel:?}");
+            } else {
+                assert_eq!(ran, SimdKernel::Portable, "kernel {kernel:?}");
+            }
+            let mut dst = vec![0xAA; 64];
+            mul_add_assign_with_kernel(kernel, &t, &mut dst, &src, t.log[0x1D2C]);
+            assert_eq!(dst, want, "kernel {kernel:?}");
+        }
     }
 }

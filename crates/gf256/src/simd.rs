@@ -14,9 +14,9 @@
 //! 16-entry half-byte product tables ([`Backend::Nibble`] computes the very
 //! same tables, one byte at a time). This module provides:
 //!
-//! * a **GFNI** kernel (`GF2P8MULB` region multiply + `GF2P8AFFINEQB`
-//!   mul-add, 512-bit EVEX when AVX-512BW is present, 256-bit VEX
-//!   otherwise — see `simd_gfni.rs`),
+//! * a **GFNI** kernel (`GF2P8AFFINEQB` with a per-constant bit-matrix,
+//!   512-bit EVEX when AVX-512BW is present, 256-bit VEX otherwise — see
+//!   `simd_gfni.rs`),
 //! * an **AVX-512BW** kernel (64 bytes, `_mm512_shuffle_epi8` with
 //!   `k`-masked tails — see `simd_avx512.rs`),
 //! * an **SSSE3** kernel (16 bytes/shuffle pair, `_mm_shuffle_epi8`),
@@ -37,6 +37,11 @@
 //! | `table` / `logexp` / `loopwide` / `nibble` | force that scalar [`Backend`] |
 //! | unset / `simd` / `auto` | auto-detect the best kernel |
 //!
+//! The same selection also picks the rung of `nc-fft`'s GF(2^16) region
+//! kernels, which have no GFNI or AVX-512 body yet: under `gfni` or
+//! `avx512` they run their AVX2 body, and under a scalar [`Backend`] name
+//! they run the auto-detected rung's.
+//!
 //! A forced kernel the host cannot run is **not** silently honored: the
 //! dispatcher logs the downgrade to stderr once and bumps the
 //! `gf.backend_override_unavailable` telemetry counter, so an ablation run
@@ -45,12 +50,17 @@
 //! exported as the `gf.kernel_id` gauge (see [`SimdKernel::id`]) at first
 //! dispatch.
 //!
-//! Besides the three single-source region ops, the module implements the
-//! **blocked multi-source axpy** behind [`crate::region::dot_assign`]:
-//! [`dot_assign_with_kernel`] folds up to four coefficient rows per pass so
-//! the eight half-byte tables stay pinned in vector registers and every
-//! destination cache line is streamed once per group of four sources
-//! instead of once per source.
+//! Each rung has **one** region body, `dst (^)= Σ c_j · src_j` over `N`
+//! sources (a const generic) with an `overwrite` flag, written over raw
+//! pointers so the in-place multiply can pass `dst` as its own source
+//! without ever forming a `&[u8]`/`&mut [u8]` pair over one buffer
+//! (aliasing UB under Rust's noalias rules). `mul_add` is `N = 1`,
+//! `mul_into` and the in-place `mul_assign` are `N = 1` with `overwrite`,
+//! and the **blocked multi-source axpy** behind
+//! [`crate::region::dot_assign`] is `N = DOT_BLOCK`:
+//! [`dot_assign_with_kernel`] folds four coefficient rows per pass so their
+//! tables stay pinned in vector registers and every destination cache line
+//! is streamed once per group of four sources instead of once per source.
 //!
 //! All kernels are property-tested bit-identical against the scalar
 //! backends (see `tests/simd_dispatch.rs`), including the zero/one
@@ -244,8 +254,8 @@ fn backend_env() -> Option<String> {
 pub const DOT_BLOCK: usize = 4;
 
 // ---------------------------------------------------------------------------
-// Dispatching entry points (called by `region` once c ∉ {0, 1} fast paths
-// are taken; exposed for benches and ablation via the explicit-kernel
+// Dispatching entry points (called by `crate::region` once c ∉ {0, 1} fast
+// paths are taken; exposed for benches and ablation via the explicit-kernel
 // variants below).
 // ---------------------------------------------------------------------------
 
@@ -296,33 +306,10 @@ pub fn mul_add_assign_with_kernel(kernel: SimdKernel, dst: &mut [u8], src: &[u8]
         1 => return xor_assign_with_kernel(kernel, dst, src),
         _ => {}
     }
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-            // SAFETY: GFNI + AVX2 availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_gfni::mul_add(dst, src, c) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Avx512 if SimdKernel::Avx512.is_available() => {
-            // SAFETY: AVX-512F/BW availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_avx512::mul_add(dst, src, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
-            // SAFETY: AVX2 availability was verified on this host above.
-            unsafe { x86::mul_add_avx2(dst, src, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Ssse3 if SimdKernel::Ssse3.is_available() => {
-            // SAFETY: SSSE3 availability was verified on this host above.
-            unsafe { x86::mul_add_ssse3(dst, src, c) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdKernel::Neon => neon::mul_add_neon(dst, src, c),
-        _ => portable_mul_add(dst, src, c),
-    }
+    let len = dst.len();
+    // SAFETY: both slices are `len` bytes (asserted above), and a unique
+    // borrow never overlaps a shared one.
+    unsafe { region(kernel, dst.as_mut_ptr(), [src.as_ptr()], [c], len, false) }
 }
 
 /// `dst = c · dst` on an explicit kernel; unavailable kernels run portably.
@@ -332,38 +319,12 @@ pub fn mul_assign_with_kernel(kernel: SimdKernel, dst: &mut [u8], c: u8) {
         1 => return,
         _ => {}
     }
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-            // SAFETY: GFNI + AVX2 availability was verified on this host
-            // above.
-            unsafe { simd_gfni::mul_assign(dst, c) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Avx512 if SimdKernel::Avx512.is_available() => {
-            // SAFETY: AVX-512F/BW availability was verified on this host
-            // above.
-            unsafe { simd_avx512::mul_assign(dst, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
-            // SAFETY: AVX2 availability was verified on this host above.
-            unsafe { x86::mul_assign_avx2(dst, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Ssse3 if SimdKernel::Ssse3.is_available() => {
-            // SAFETY: SSSE3 availability was verified on this host above.
-            unsafe { x86::mul_assign_ssse3(dst, c) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdKernel::Neon => neon::mul_assign_neon(dst, c),
-        _ => {
-            let row = &MUL[c as usize];
-            for d in dst.iter_mut() {
-                *d = row[*d as usize];
-            }
-        }
-    }
+    let len = dst.len();
+    let p = dst.as_mut_ptr();
+    // SAFETY: `p` covers `len` bytes and is its own only source — the exact
+    // alias `region` allows. Both pointers come from the one unique borrow,
+    // so no shared/unique reference pair over the buffer is ever formed.
+    unsafe { region(kernel, p, [p.cast_const()], [c], len, true) }
 }
 
 /// `dst = c · src` (overwriting) on an explicit kernel.
@@ -378,43 +339,15 @@ pub fn mul_into_with_kernel(kernel: SimdKernel, dst: &mut [u8], src: &[u8], c: u
         1 => return dst.copy_from_slice(src),
         _ => {}
     }
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-            // SAFETY: GFNI + AVX2 availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_gfni::mul_into(dst, src, c) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Avx512 if SimdKernel::Avx512.is_available() => {
-            // SAFETY: AVX-512F/BW availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_avx512::mul_into(dst, src, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
-            // SAFETY: AVX2 availability was verified on this host above.
-            unsafe { x86::mul_into_avx2(dst, src, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Ssse3 if SimdKernel::Ssse3.is_available() => {
-            // SAFETY: SSSE3 availability was verified on this host above.
-            unsafe { x86::mul_into_ssse3(dst, src, c) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdKernel::Neon => neon::mul_into_neon(dst, src, c),
-        _ => {
-            let row = &MUL[c as usize];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = row[*s as usize];
-            }
-        }
-    }
+    let len = dst.len();
+    // SAFETY: both slices are `len` bytes (asserted above), and a unique
+    // borrow never overlaps a shared one.
+    unsafe { region(kernel, dst.as_mut_ptr(), [src.as_ptr()], [c], len, true) }
 }
 
-/// `dst ^= src` on an explicit kernel (AVX2 uses 32-byte lanes; everything
-/// else uses the portable 8-byte-word loop, which SSE-class hardware
-/// autovectorizes).
+/// `dst ^= src` on an explicit kernel (AVX2 uses 32-byte lanes, AVX-512
+/// and 512-bit GFNI 64-byte lanes with a masked tail; everything else uses
+/// the portable 8-byte-word loop, which SSE-class hardware autovectorizes).
 ///
 /// # Panics
 ///
@@ -429,10 +362,10 @@ pub fn xor_assign_with_kernel(kernel: SimdKernel, dst: &mut [u8], src: &[u8]) {
             unsafe { simd_avx512::xor_assign(dst, src) }
         }
         #[cfg(target_arch = "x86_64")]
-        SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-            // SAFETY: GFNI + AVX2 availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_gfni::xor_assign(dst, src) }
+        SimdKernel::Gfni if SimdKernel::Gfni.is_available() && simd_gfni::wide() => {
+            // SAFETY: `wide()` verified AVX-512F/BW on this host; the
+            // length assert above is the equal-length contract.
+            unsafe { simd_avx512::xor_assign(dst, src) }
         }
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
@@ -471,6 +404,7 @@ pub fn dot_assign_with_kernel(
     let mut idxs = [0usize; DOT_BLOCK];
     let mut cs = [0u8; DOT_BLOCK];
     let mut filled = 0;
+    let len = dst.len();
     for (i, &c) in coeffs.iter().enumerate() {
         if c == 0 {
             continue;
@@ -482,37 +416,10 @@ pub fn dot_assign_with_kernel(
             continue;
         }
         filled = 0;
-        let srcs = [sources[idxs[0]], sources[idxs[1]], sources[idxs[2]], sources[idxs[3]]];
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-                // SAFETY: GFNI + AVX2 availability was verified on this host
-                // above; the length asserts above cover all four sources.
-                unsafe { simd_gfni::dot4(dst, &srcs, cs) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdKernel::Avx512 if SimdKernel::Avx512.is_available() => {
-                // SAFETY: AVX-512F/BW availability was verified on this host
-                // above; the length asserts above cover all four sources.
-                unsafe { simd_avx512::dot4(dst, &srcs, cs) }
-            }
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
-                // SAFETY: AVX2 availability was verified on this host above.
-                unsafe { x86::dot4_avx2(dst, &srcs, cs) }
-            }
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            SimdKernel::Ssse3 if SimdKernel::Ssse3.is_available() => {
-                // SAFETY: SSSE3 availability was verified on this host above.
-                unsafe { x86::dot4_ssse3(dst, &srcs, cs) }
-            }
-            #[cfg(target_arch = "aarch64")]
-            SimdKernel::Neon => neon::dot4_neon(dst, &srcs, cs),
-            _ => {
-                for (s, &c) in srcs.iter().zip(&cs) {
-                    mul_add_assign_with_kernel(kernel, dst, s, c);
-                }
-            }
+        // SAFETY: every source is `len` bytes (asserted above), and a
+        // unique borrow never overlaps a shared one.
+        unsafe {
+            region(kernel, dst.as_mut_ptr(), idxs.map(|i| sources[i].as_ptr()), cs, len, false)
         }
     }
     for j in 0..filled {
@@ -520,15 +427,92 @@ pub fn dot_assign_with_kernel(
     }
 }
 
+/// `dst (^)= Σ cs[j] · srcs[j]` over `len` bytes on `kernel`: the one
+/// multiply-accumulate every region multiply is an instance of. `mul_add`
+/// is `N = 1`; `mul_into` and the in-place `mul_assign` are `N = 1` with
+/// `overwrite` (which starts the sum from zero instead of `dst`); the
+/// blocked dot product is `N = DOT_BLOCK`. The rung's vector body handles
+/// what it can and the portable loop finishes the rest; a kernel the host
+/// lacks runs portably end to end.
+///
+/// # Safety
+///
+/// `dst` must be valid for reads and writes of `len` bytes and every
+/// `srcs[j]` valid for reads of `len` bytes. A source may be `dst` itself
+/// (the in-place multiply) but must not otherwise overlap it.
+unsafe fn region<const N: usize>(
+    kernel: SimdKernel,
+    dst: *mut u8,
+    srcs: [*const u8; N],
+    cs: [u8; N],
+    len: usize,
+    overwrite: bool,
+) {
+    // SAFETY: each arm's guard verified its rung's target features on this
+    // host (NEON is architecturally guaranteed on AArch64); the pointer
+    // contract is the caller's, passed through unchanged.
+    let done = unsafe {
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
+                if simd_gfni::wide() {
+                    simd_gfni::region_512(dst, srcs, cs, len, overwrite)
+                } else {
+                    simd_gfni::region_256(dst, srcs, cs, len, overwrite)
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            SimdKernel::Avx512 if SimdKernel::Avx512.is_available() => {
+                simd_avx512::region(dst, srcs, cs, len, overwrite)
+            }
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
+                x86::region_avx2(dst, srcs, cs, len, overwrite)
+            }
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdKernel::Ssse3 if SimdKernel::Ssse3.is_available() => {
+                x86::region_ssse3(dst, srcs, cs, len, overwrite)
+            }
+            #[cfg(target_arch = "aarch64")]
+            SimdKernel::Neon => neon::region(dst, srcs, cs, len, overwrite),
+            _ => 0,
+        }
+    };
+    // SAFETY: the caller's pointer contract, over the bytes the vector body
+    // left (`done..len`).
+    unsafe { portable(dst, srcs, cs, done, len, overwrite) }
+}
+
 // ---------------------------------------------------------------------------
-// Portable fallback (also the head/tail path of every vector kernel).
+// Portable fallback (also the tail path of every vector kernel).
 // ---------------------------------------------------------------------------
 
-/// The fastest portable axpy: one L1-resident 256-byte product-table row.
-fn portable_mul_add(dst: &mut [u8], src: &[u8], c: u8) {
-    let row = &MUL[c as usize];
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= row[*s as usize];
+/// [`region`]'s sum over bytes `from..len` through the L1-resident
+/// 256-byte product-table rows: the whole portable kernel, and the tail of
+/// every vector body.
+///
+/// # Safety
+///
+/// [`region`]'s pointer contract.
+unsafe fn portable<const N: usize>(
+    dst: *mut u8,
+    srcs: [*const u8; N],
+    cs: [u8; N],
+    from: usize,
+    len: usize,
+    overwrite: bool,
+) {
+    for i in from..len {
+        // SAFETY: `i < len` keeps every access inside the caller's
+        // regions, and byte `i` of each source is read before `dst[i]` is
+        // written (the in-place alias reads its own byte first).
+        unsafe {
+            let mut acc = if overwrite { 0 } else { *dst.add(i) };
+            for j in 0..N {
+                acc ^= MUL[cs[j] as usize][*srcs[j].add(i) as usize];
+            }
+            *dst.add(i) = acc;
+        }
     }
 }
 
@@ -568,209 +552,119 @@ pub(crate) fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    use super::{nibble_tables, portable_mul_add, portable_xor};
-    use crate::tables::MUL;
+    use super::{nibble_tables, portable_xor};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// `dst[i..i+16] ^/= c · src[i..i+16]` over all full 16-byte chunks;
-    /// returns the number of bytes processed so callers finish the tail
-    /// portably.
+    /// SSSE3 `PSHUFB` body of [`super::region`], 16 bytes per table pair;
+    /// returns the bytes processed (whole 16-byte chunks) so the caller
+    /// finishes the tail portably.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the host supports SSSE3 and `dst.len() == src.len()`.
+    /// The host must support SSSE3, and the pointers must satisfy
+    /// [`super::region`]'s contract.
     #[target_feature(enable = "ssse3")]
-    unsafe fn body_ssse3(dst: &mut [u8], src: &[u8], c: u8, overwrite: bool) -> usize {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
+    pub(super) unsafe fn region_ssse3<const N: usize>(
+        dst: *mut u8,
+        srcs: [*const u8; N],
+        cs: [u8; N],
+        len: usize,
+        overwrite: bool,
+    ) -> usize {
         // SAFETY: table loads read 16 bytes from 16-byte arrays; every
-        // region load/store is bounded by `i + 16 <= len` (the caller
-        // guarantees `src.len() == dst.len()`), and the unaligned
-        // `loadu`/`storeu` forms are used throughout.
+        // region access is bounded by `i + 16 <= len` (the caller's
+        // pointer contract), each chunk's sources are loaded before its
+        // store, and the unaligned loadu/storeu forms are used throughout.
         unsafe {
-            let lo_t = _mm_loadu_si128(lo.as_ptr().cast());
-            let hi_t = _mm_loadu_si128(hi.as_ptr().cast());
+            let mut lo_t = [_mm_setzero_si128(); N];
+            let mut hi_t = [_mm_setzero_si128(); N];
+            for j in 0..N {
+                let (lo, hi) = nibble_tables(cs[j]);
+                lo_t[j] = _mm_loadu_si128(lo.as_ptr().cast());
+                hi_t[j] = _mm_loadu_si128(hi.as_ptr().cast());
+            }
             let mask = _mm_set1_epi8(0x0F);
             let mut i = 0;
             while i + 16 <= len {
-                let s = _mm_loadu_si128(src.as_ptr().add(i).cast());
-                let lo_idx = _mm_and_si128(s, mask);
-                let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-                let prod =
-                    _mm_xor_si128(_mm_shuffle_epi8(lo_t, lo_idx), _mm_shuffle_epi8(hi_t, hi_idx));
-                let out = if overwrite {
-                    prod
+                let mut acc = if overwrite {
+                    _mm_setzero_si128()
                 } else {
-                    _mm_xor_si128(_mm_loadu_si128(dst.as_ptr().add(i).cast()), prod)
+                    _mm_loadu_si128(dst.add(i).cast())
                 };
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), out);
+                for j in 0..N {
+                    let s = _mm_loadu_si128(srcs[j].add(i).cast());
+                    let lo_idx = _mm_and_si128(s, mask);
+                    let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
+                    acc = _mm_xor_si128(
+                        acc,
+                        _mm_xor_si128(
+                            _mm_shuffle_epi8(lo_t[j], lo_idx),
+                            _mm_shuffle_epi8(hi_t[j], hi_idx),
+                        ),
+                    );
+                }
+                _mm_storeu_si128(dst.add(i).cast(), acc);
                 i += 16;
             }
             i
         }
     }
 
-    /// # Safety: host must support SSSE3; slices must be equal length.
-    pub(super) unsafe fn mul_add_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
-        // SAFETY: the caller's contract (SSSE3 present, equal lengths) is
-        // exactly `body_ssse3`'s.
-        let done = unsafe { body_ssse3(dst, src, c, false) };
-        portable_mul_add(&mut dst[done..], &src[done..], c);
-    }
-
-    /// # Safety: host must support SSSE3; slices must be equal length.
-    pub(super) unsafe fn mul_into_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
-        // SAFETY: the caller's contract (SSSE3 present, equal lengths) is
-        // exactly `body_ssse3`'s.
-        let done = unsafe { body_ssse3(dst, src, c, true) };
-        let row = &MUL[c as usize];
-        for (d, s) in dst[done..].iter_mut().zip(&src[done..]) {
-            *d = row[*s as usize];
-        }
-    }
-
-    /// In-place `dst[i] = c · dst[i]` over all full 16-byte chunks; returns
-    /// the number of bytes processed. A dedicated body (rather than calling
-    /// `body_ssse3` with `src == dst`) because a `&[u8]`/`&mut [u8]` pair
-    /// over the same buffer is aliasing UB under Rust's noalias rules.
+    /// AVX2 `VPSHUFB` body of [`super::region`], 32 bytes per table pair
+    /// (the 16-byte tables broadcast to both lanes); returns the bytes
+    /// processed.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the host supports SSSE3.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn body_inplace_ssse3(dst: &mut [u8], c: u8) -> usize {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: every access reads and writes through `dst`'s own
-        // pointer, bounded by `i + 16 <= len`, with unaligned
-        // loadu/storeu forms throughout.
-        unsafe {
-            let lo_t = _mm_loadu_si128(lo.as_ptr().cast());
-            let hi_t = _mm_loadu_si128(hi.as_ptr().cast());
-            let mask = _mm_set1_epi8(0x0F);
-            let mut i = 0;
-            while i + 16 <= len {
-                let s = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-                let lo_idx = _mm_and_si128(s, mask);
-                let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-                let prod =
-                    _mm_xor_si128(_mm_shuffle_epi8(lo_t, lo_idx), _mm_shuffle_epi8(hi_t, hi_idx));
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), prod);
-                i += 16;
-            }
-            i
-        }
-    }
-
-    /// # Safety: host must support SSSE3.
-    pub(super) unsafe fn mul_assign_ssse3(dst: &mut [u8], c: u8) {
-        // SAFETY: the caller's SSSE3 guarantee is `body_inplace_ssse3`'s
-        // whole contract.
-        let done = unsafe { body_inplace_ssse3(dst, c) };
-        let row = &MUL[c as usize];
-        for d in dst[done..].iter_mut() {
-            *d = row[*d as usize];
-        }
-    }
-
-    /// # Safety: host must support AVX2; slices must be equal length.
+    /// The host must support AVX2, and the pointers must satisfy
+    /// [`super::region`]'s contract.
     #[target_feature(enable = "avx2")]
-    unsafe fn body_avx2(dst: &mut [u8], src: &[u8], c: u8, overwrite: bool) -> usize {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: table loads read 16 bytes from 16-byte arrays;
-        // `i + 32 <= len` bounds every region access (the caller
-        // guarantees `src.len() == dst.len()`), and the unaligned
-        // loadu/storeu forms are used throughout.
+    pub(super) unsafe fn region_avx2<const N: usize>(
+        dst: *mut u8,
+        srcs: [*const u8; N],
+        cs: [u8; N],
+        len: usize,
+        overwrite: bool,
+    ) -> usize {
+        // SAFETY: table loads read 16 bytes from 16-byte arrays; every
+        // region access is bounded by `i + 32 <= len` (the caller's
+        // pointer contract), each chunk's sources are loaded before its
+        // store, and the unaligned loadu/storeu forms are used throughout.
         unsafe {
-            let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-            let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
+            let mut lo_t = [_mm256_setzero_si256(); N];
+            let mut hi_t = [_mm256_setzero_si256(); N];
+            for j in 0..N {
+                let (lo, hi) = nibble_tables(cs[j]);
+                lo_t[j] = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
+                hi_t[j] = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
+            }
             let mask = _mm256_set1_epi8(0x0F);
             let mut i = 0;
             while i + 32 <= len {
-                let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-                let lo_idx = _mm256_and_si256(s, mask);
-                let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
-                let prod = _mm256_xor_si256(
-                    _mm256_shuffle_epi8(lo_t, lo_idx),
-                    _mm256_shuffle_epi8(hi_t, hi_idx),
-                );
-                let out = if overwrite {
-                    prod
+                let mut acc = if overwrite {
+                    _mm256_setzero_si256()
                 } else {
-                    _mm256_xor_si256(_mm256_loadu_si256(dst.as_ptr().add(i).cast()), prod)
+                    _mm256_loadu_si256(dst.add(i).cast())
                 };
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), out);
+                for j in 0..N {
+                    let s = _mm256_loadu_si256(srcs[j].add(i).cast());
+                    let lo_idx = _mm256_and_si256(s, mask);
+                    let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
+                    acc = _mm256_xor_si256(
+                        acc,
+                        _mm256_xor_si256(
+                            _mm256_shuffle_epi8(lo_t[j], lo_idx),
+                            _mm256_shuffle_epi8(hi_t[j], hi_idx),
+                        ),
+                    );
+                }
+                _mm256_storeu_si256(dst.add(i).cast(), acc);
                 i += 32;
             }
             i
-        }
-    }
-
-    /// # Safety: host must support AVX2; slices must be equal length.
-    pub(super) unsafe fn mul_add_avx2(dst: &mut [u8], src: &[u8], c: u8) {
-        // SAFETY: the caller's contract (AVX2 present, equal lengths) is
-        // exactly `body_avx2`'s.
-        let done = unsafe { body_avx2(dst, src, c, false) };
-        portable_mul_add(&mut dst[done..], &src[done..], c);
-    }
-
-    /// # Safety: host must support AVX2; slices must be equal length.
-    pub(super) unsafe fn mul_into_avx2(dst: &mut [u8], src: &[u8], c: u8) {
-        // SAFETY: the caller's contract (AVX2 present, equal lengths) is
-        // exactly `body_avx2`'s.
-        let done = unsafe { body_avx2(dst, src, c, true) };
-        let row = &MUL[c as usize];
-        for (d, s) in dst[done..].iter_mut().zip(&src[done..]) {
-            *d = row[*s as usize];
-        }
-    }
-
-    /// In-place `dst[i] = c · dst[i]` over all full 32-byte chunks; returns
-    /// the number of bytes processed. Dedicated body for the same aliasing
-    /// reason as `body_inplace_ssse3`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the host supports AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn body_inplace_avx2(dst: &mut [u8], c: u8) -> usize {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: every access reads and writes through `dst`'s own
-        // pointer, bounded by `i + 32 <= len`, with unaligned
-        // loadu/storeu forms throughout.
-        unsafe {
-            let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-            let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-            let mask = _mm256_set1_epi8(0x0F);
-            let mut i = 0;
-            while i + 32 <= len {
-                let s = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-                let lo_idx = _mm256_and_si256(s, mask);
-                let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
-                let prod = _mm256_xor_si256(
-                    _mm256_shuffle_epi8(lo_t, lo_idx),
-                    _mm256_shuffle_epi8(hi_t, hi_idx),
-                );
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), prod);
-                i += 32;
-            }
-            i
-        }
-    }
-
-    /// # Safety: host must support AVX2.
-    pub(super) unsafe fn mul_assign_avx2(dst: &mut [u8], c: u8) {
-        // SAFETY: the caller's AVX2 guarantee is `body_inplace_avx2`'s
-        // whole contract.
-        let done = unsafe { body_inplace_avx2(dst, c) };
-        let row = &MUL[c as usize];
-        for d in dst[done..].iter_mut() {
-            *d = row[*d as usize];
         }
     }
 
@@ -791,197 +685,50 @@ mod x86 {
         }
         portable_xor(&mut dst[i..], &src[i..]);
     }
-
-    /// Four-source blocked axpy: all eight half-byte tables live in `ymm`
-    /// registers for the whole sweep, and each 32-byte destination chunk is
-    /// loaded and stored once for the four sources.
-    ///
-    /// # Safety: host must support AVX2; all slices must be equal length.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot4_avx2(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-        let len = dst.len();
-        let mut i = 0;
-        // SAFETY: table loads read 16 bytes from 16-byte arrays; every
-        // region access is bounded by `i + 32 <= len`, and the caller
-        // guarantees all four sources equal `dst`'s length.
-        unsafe {
-            let mut lo_t = [_mm256_setzero_si256(); 4];
-            let mut hi_t = [_mm256_setzero_si256(); 4];
-            for j in 0..4 {
-                let (lo, hi) = nibble_tables(cs[j]);
-                lo_t[j] = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-                hi_t[j] = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-            }
-            let mask = _mm256_set1_epi8(0x0F);
-            while i + 32 <= len {
-                let mut acc = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-                for j in 0..4 {
-                    let s = _mm256_loadu_si256(srcs[j].as_ptr().add(i).cast());
-                    let lo_idx = _mm256_and_si256(s, mask);
-                    let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
-                    acc = _mm256_xor_si256(
-                        acc,
-                        _mm256_xor_si256(
-                            _mm256_shuffle_epi8(lo_t[j], lo_idx),
-                            _mm256_shuffle_epi8(hi_t[j], hi_idx),
-                        ),
-                    );
-                }
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc);
-                i += 32;
-            }
-        }
-        for j in 0..4 {
-            portable_mul_add(&mut dst[i..], &srcs[j][i..], cs[j]);
-        }
-    }
-
-    /// # Safety: host must support SSSE3; all slices must be equal length.
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn dot4_ssse3(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-        let len = dst.len();
-        let mut i = 0;
-        // SAFETY: table loads read 16 bytes from 16-byte arrays; every
-        // region access is bounded by `i + 16 <= len`, and the caller
-        // guarantees all four sources equal `dst`'s length.
-        unsafe {
-            let mut lo_t = [_mm_setzero_si128(); 4];
-            let mut hi_t = [_mm_setzero_si128(); 4];
-            for j in 0..4 {
-                let (lo, hi) = nibble_tables(cs[j]);
-                lo_t[j] = _mm_loadu_si128(lo.as_ptr().cast());
-                hi_t[j] = _mm_loadu_si128(hi.as_ptr().cast());
-            }
-            let mask = _mm_set1_epi8(0x0F);
-            while i + 16 <= len {
-                let mut acc = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-                for j in 0..4 {
-                    let s = _mm_loadu_si128(srcs[j].as_ptr().add(i).cast());
-                    let lo_idx = _mm_and_si128(s, mask);
-                    let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-                    acc = _mm_xor_si128(
-                        acc,
-                        _mm_xor_si128(
-                            _mm_shuffle_epi8(lo_t[j], lo_idx),
-                            _mm_shuffle_epi8(hi_t[j], hi_idx),
-                        ),
-                    );
-                }
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), acc);
-                i += 16;
-            }
-        }
-        for j in 0..4 {
-            portable_mul_add(&mut dst[i..], &srcs[j][i..], cs[j]);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// AArch64 NEON TBL kernels. NEON is mandatory on AArch64, so these are safe
-// fns — the only unsafety is the raw-pointer loads, bounded like the x86
-// ones.
+// AArch64 NEON TBL kernel (NEON is mandatory on AArch64).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{nibble_tables, portable_mul_add};
-    use crate::tables::MUL;
+    use super::nibble_tables;
     use std::arch::aarch64::*;
 
-    pub(super) fn mul_add_neon(dst: &mut [u8], src: &[u8], c: u8) {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: NEON is architecturally guaranteed on AArch64; every
-        // pointer access is bounded by `i + 16 <= len`.
-        let i = unsafe {
-            let lo_t = vld1q_u8(lo.as_ptr());
-            let hi_t = vld1q_u8(hi.as_ptr());
-            let mut i = 0;
-            while i + 16 <= len {
-                let s = vld1q_u8(src.as_ptr().add(i));
-                let d = vld1q_u8(dst.as_ptr().add(i));
-                let prod = veorq_u8(
-                    vqtbl1q_u8(lo_t, vandq_u8(s, vdupq_n_u8(0x0F))),
-                    vqtbl1q_u8(hi_t, vshrq_n_u8(s, 4)),
-                );
-                vst1q_u8(dst.as_mut_ptr().add(i), veorq_u8(d, prod));
-                i += 16;
-            }
-            i
-        };
-        portable_mul_add(&mut dst[i..], &src[i..], c);
-    }
-
-    pub(super) fn mul_into_neon(dst: &mut [u8], src: &[u8], c: u8) {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: as above — mandatory NEON, bounded accesses.
-        let i = unsafe {
-            let lo_t = vld1q_u8(lo.as_ptr());
-            let hi_t = vld1q_u8(hi.as_ptr());
-            let mut i = 0;
-            while i + 16 <= len {
-                let s = vld1q_u8(src.as_ptr().add(i));
-                let prod = veorq_u8(
-                    vqtbl1q_u8(lo_t, vandq_u8(s, vdupq_n_u8(0x0F))),
-                    vqtbl1q_u8(hi_t, vshrq_n_u8(s, 4)),
-                );
-                vst1q_u8(dst.as_mut_ptr().add(i), prod);
-                i += 16;
-            }
-            i
-        };
-        let row = &MUL[c as usize];
-        for (d, s) in dst[i..].iter_mut().zip(&src[i..]) {
-            *d = row[*s as usize];
-        }
-    }
-
-    pub(super) fn mul_assign_neon(dst: &mut [u8], c: u8) {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: as above; the in-place form reads each chunk fully before
-        // storing it.
-        let i = unsafe {
-            let lo_t = vld1q_u8(lo.as_ptr());
-            let hi_t = vld1q_u8(hi.as_ptr());
-            let mut i = 0;
-            while i + 16 <= len {
-                let s = vld1q_u8(dst.as_ptr().add(i));
-                let prod = veorq_u8(
-                    vqtbl1q_u8(lo_t, vandq_u8(s, vdupq_n_u8(0x0F))),
-                    vqtbl1q_u8(hi_t, vshrq_n_u8(s, 4)),
-                );
-                vst1q_u8(dst.as_mut_ptr().add(i), prod);
-                i += 16;
-            }
-            i
-        };
-        let row = &MUL[c as usize];
-        for d in dst[i..].iter_mut() {
-            *d = row[*d as usize];
-        }
-    }
-
-    pub(super) fn dot4_neon(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-        let len = dst.len();
-        let tables: Vec<([u8; 16], [u8; 16])> = cs.iter().map(|&c| nibble_tables(c)).collect();
-        // SAFETY: as above — mandatory NEON, every access bounded by
-        // `i + 16 <= len`, sources asserted equal-length by the caller.
-        let i = unsafe {
-            let mut lo_t = [vdupq_n_u8(0); 4];
-            let mut hi_t = [vdupq_n_u8(0); 4];
-            for j in 0..4 {
-                lo_t[j] = vld1q_u8(tables[j].0.as_ptr());
-                hi_t[j] = vld1q_u8(tables[j].1.as_ptr());
+    /// NEON `TBL` body of [`super::region`], 16 bytes per table pair;
+    /// returns the bytes processed.
+    ///
+    /// # Safety
+    ///
+    /// The pointers must satisfy [`super::region`]'s contract (NEON itself
+    /// is architecturally guaranteed on AArch64).
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn region<const N: usize>(
+        dst: *mut u8,
+        srcs: [*const u8; N],
+        cs: [u8; N],
+        len: usize,
+        overwrite: bool,
+    ) -> usize {
+        // SAFETY: table loads read 16 bytes from 16-byte arrays; every
+        // region access is bounded by `i + 16 <= len` (the caller's
+        // pointer contract), and each chunk's sources are loaded before
+        // its store.
+        unsafe {
+            let mut lo_t = [vdupq_n_u8(0); N];
+            let mut hi_t = [vdupq_n_u8(0); N];
+            for j in 0..N {
+                let (lo, hi) = nibble_tables(cs[j]);
+                lo_t[j] = vld1q_u8(lo.as_ptr());
+                hi_t[j] = vld1q_u8(hi.as_ptr());
             }
             let mask = vdupq_n_u8(0x0F);
             let mut i = 0;
             while i + 16 <= len {
-                let mut acc = vld1q_u8(dst.as_ptr().add(i));
-                for j in 0..4 {
-                    let s = vld1q_u8(srcs[j].as_ptr().add(i));
+                let mut acc = if overwrite { vdupq_n_u8(0) } else { vld1q_u8(dst.add(i)) };
+                for j in 0..N {
+                    let s = vld1q_u8(srcs[j].add(i));
                     acc = veorq_u8(
                         acc,
                         veorq_u8(
@@ -990,13 +737,10 @@ mod neon {
                         ),
                     );
                 }
-                vst1q_u8(dst.as_mut_ptr().add(i), acc);
+                vst1q_u8(dst.add(i), acc);
                 i += 16;
             }
             i
-        };
-        for j in 0..4 {
-            portable_mul_add(&mut dst[i..], &srcs[j][i..], cs[j]);
         }
     }
 }

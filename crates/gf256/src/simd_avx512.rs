@@ -48,103 +48,64 @@ unsafe fn broadcast_table(table: &[u8; 16]) -> __m512i {
     unsafe { _mm512_broadcast_i32x4(_mm_loadu_si128(table.as_ptr().cast())) }
 }
 
-/// `dst ^= c · src` (or `dst = c · src` when `overwrite`): full 64-byte
-/// chunks plus one masked tail pass.
+/// AVX-512BW body of [`super::region`]: full 64-byte chunks plus one
+/// masked tail pass, so it processes every byte and returns `len`.
 ///
 /// # Safety
 ///
-/// Caller must ensure the host supports AVX-512F + AVX-512BW and
-/// `dst.len() == src.len()`.
+/// The host must support AVX-512F + AVX-512BW, and the pointers must
+/// satisfy [`super::region`]'s contract.
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn body(dst: &mut [u8], src: &[u8], c: u8, overwrite: bool) {
-    let (lo, hi) = nibble_tables(c);
-    let len = dst.len();
+pub(super) unsafe fn region<const N: usize>(
+    dst: *mut u8,
+    srcs: [*const u8; N],
+    cs: [u8; N],
+    len: usize,
+    overwrite: bool,
+) -> usize {
     // SAFETY: every full-vector access is bounded by `i + 64 <= len` (the
-    // caller guarantees `src.len() == dst.len()`); the tail load/store is
-    // masked to `rem = len - i < 64` lanes, so no byte outside the slices
-    // is touched. Unaligned loadu/storeu forms throughout.
+    // caller's pointer contract); the tail load/store is masked to
+    // `rem = len - i < 64` lanes, so no byte outside the regions is
+    // touched. Each chunk's sources are loaded before its store, and the
+    // unaligned loadu/storeu forms are used throughout.
     unsafe {
-        let lo_t = broadcast_table(&lo);
-        let hi_t = broadcast_table(&hi);
+        let mut lo_t = [_mm512_setzero_si512(); N];
+        let mut hi_t = [_mm512_setzero_si512(); N];
+        for j in 0..N {
+            let (lo, hi) = nibble_tables(cs[j]);
+            lo_t[j] = broadcast_table(&lo);
+            hi_t[j] = broadcast_table(&hi);
+        }
         let mask = _mm512_set1_epi8(0x0F);
         let mut i = 0;
         while i + 64 <= len {
-            let s = _mm512_loadu_si512(src.as_ptr().add(i).cast());
-            let prod = product(lo_t, hi_t, mask, s);
-            let out = if overwrite {
-                prod
+            let mut acc = if overwrite {
+                _mm512_setzero_si512()
             } else {
-                _mm512_xor_si512(_mm512_loadu_si512(dst.as_ptr().add(i).cast()), prod)
+                _mm512_loadu_si512(dst.add(i).cast())
             };
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), out);
+            for j in 0..N {
+                let s = _mm512_loadu_si512(srcs[j].add(i).cast());
+                acc = _mm512_xor_si512(acc, product(lo_t[j], hi_t[j], mask, s));
+            }
+            _mm512_storeu_si512(dst.add(i).cast(), acc);
             i += 64;
         }
         let rem = len - i;
         if rem > 0 {
             let k: __mmask64 = (1u64 << rem) - 1;
-            let s = _mm512_maskz_loadu_epi8(k, src.as_ptr().add(i).cast());
-            let prod = product(lo_t, hi_t, mask, s);
-            let out = if overwrite {
-                prod
+            let mut acc = if overwrite {
+                _mm512_setzero_si512()
             } else {
-                _mm512_xor_si512(_mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast()), prod)
+                _mm512_maskz_loadu_epi8(k, dst.add(i).cast())
             };
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, out);
+            for j in 0..N {
+                let s = _mm512_maskz_loadu_epi8(k, srcs[j].add(i).cast());
+                acc = _mm512_xor_si512(acc, product(lo_t[j], hi_t[j], mask, s));
+            }
+            _mm512_mask_storeu_epi8(dst.add(i).cast(), k, acc);
         }
-    }
-}
-
-/// `dst ^= c · src`.
-///
-/// # Safety
-///
-/// Host must support AVX-512F + AVX-512BW; slices must be equal length.
-pub(super) unsafe fn mul_add(dst: &mut [u8], src: &[u8], c: u8) {
-    // SAFETY: the caller's contract is exactly `body`'s.
-    unsafe { body(dst, src, c, false) }
-}
-
-/// `dst = c · src` (overwriting).
-///
-/// # Safety
-///
-/// Host must support AVX-512F + AVX-512BW; slices must be equal length.
-pub(super) unsafe fn mul_into(dst: &mut [u8], src: &[u8], c: u8) {
-    // SAFETY: the caller's contract is exactly `body`'s.
-    unsafe { body(dst, src, c, true) }
-}
-
-/// In-place `dst[i] = c · dst[i]`. A dedicated body (rather than `body`
-/// with `src == dst`) because a `&[u8]`/`&mut [u8]` pair over one buffer is
-/// aliasing UB under Rust's noalias rules.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports AVX-512F + AVX-512BW.
-#[target_feature(enable = "avx512f,avx512bw")]
-pub(super) unsafe fn mul_assign(dst: &mut [u8], c: u8) {
-    let (lo, hi) = nibble_tables(c);
-    let len = dst.len();
-    // SAFETY: every access reads and writes through `dst`'s own pointer,
-    // bounded by `i + 64 <= len` for full vectors and by the `rem`-lane
-    // mask for the tail.
-    unsafe {
-        let lo_t = broadcast_table(&lo);
-        let hi_t = broadcast_table(&hi);
-        let mask = _mm512_set1_epi8(0x0F);
-        let mut i = 0;
-        while i + 64 <= len {
-            let s = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), product(lo_t, hi_t, mask, s));
-            i += 64;
-        }
-        let rem = len - i;
-        if rem > 0 {
-            let k: __mmask64 = (1u64 << rem) - 1;
-            let s = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast());
-            let prod = product(lo_t, hi_t, mask, s);
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, prod);
-        }
+        len
     }
 }
 
@@ -172,53 +133,6 @@ pub(super) unsafe fn xor_assign(dst: &mut [u8], src: &[u8]) {
             let d = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast());
             let s = _mm512_maskz_loadu_epi8(k, src.as_ptr().add(i).cast());
             _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, _mm512_xor_si512(d, s));
-        }
-    }
-}
-
-/// Four-source blocked axpy: all eight half-byte tables live in `zmm`
-/// registers for the whole sweep and each 64-byte destination chunk is
-/// loaded and stored once for the four sources; the tail runs the same
-/// four-source fold under a byte mask.
-///
-/// # Safety
-///
-/// Host must support AVX-512F + AVX-512BW; all slices must be equal length.
-#[target_feature(enable = "avx512f,avx512bw")]
-pub(super) unsafe fn dot4(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-    let len = dst.len();
-    // SAFETY: table loads read 16 bytes from 16-byte arrays; every region
-    // access is bounded by `i + 64 <= len` or masked to the remaining
-    // lanes, and the caller guarantees all four sources equal `dst`'s
-    // length.
-    unsafe {
-        let mut lo_t = [_mm512_setzero_si512(); 4];
-        let mut hi_t = [_mm512_setzero_si512(); 4];
-        for j in 0..4 {
-            let (lo, hi) = nibble_tables(cs[j]);
-            lo_t[j] = broadcast_table(&lo);
-            hi_t[j] = broadcast_table(&hi);
-        }
-        let mask = _mm512_set1_epi8(0x0F);
-        let mut i = 0;
-        while i + 64 <= len {
-            let mut acc = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            for j in 0..4 {
-                let s = _mm512_loadu_si512(srcs[j].as_ptr().add(i).cast());
-                acc = _mm512_xor_si512(acc, product(lo_t[j], hi_t[j], mask, s));
-            }
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), acc);
-            i += 64;
-        }
-        let rem = len - i;
-        if rem > 0 {
-            let k: __mmask64 = (1u64 << rem) - 1;
-            let mut acc = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast());
-            for j in 0..4 {
-                let s = _mm512_maskz_loadu_epi8(k, srcs[j].as_ptr().add(i).cast());
-                acc = _mm512_xor_si512(acc, product(lo_t[j], hi_t[j], mask, s));
-            }
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, acc);
         }
     }
 }

@@ -1,29 +1,27 @@
 //! GFNI kernels: GF(2^8) region arithmetic as single instructions.
 //!
-//! The Galois Field New Instructions compute this crate's field *exactly*:
-//! `GF2P8MULB` multiplies packed bytes modulo x^8 + x^4 + x^3 + x + 1 —
-//! the Rijndael polynomial [`crate::tables::POLY`] (0x11B) — so a region
-//! multiply is one instruction per vector with no tables at all. For the
-//! axpy forms the multiply-by-a-constant map `x ↦ c·x` is GF(2)-linear, so
-//! it is also expressible as an 8×8 bit-matrix and executed with
+//! The Galois Field New Instructions compute this crate's field *exactly*
+//! (the Rijndael polynomial [`crate::tables::POLY`], 0x11B), so a region
+//! multiply needs no tables at all. The multiply-by-a-constant map
+//! `x ↦ c·x` is GF(2)-linear, so it is an 8×8 bit-matrix executed with
 //! `GF2P8AFFINEQB` ([`affine_matrix`] builds the matrix per Günther et
-//! al., *GF Arithmetics for LNC using AVX512*); both spellings are used
-//! here, matching the instruction each op maps to most naturally.
+//! al., *GF Arithmetics for LNC using AVX512*): one instruction per vector
+//! and source, with the matrices held in registers across a multi-source
+//! pass.
 //!
-//! Two body widths share each op:
+//! The rung has one body per vector width:
 //!
-//! * a 512-bit EVEX path (requires `gfni + avx512f + avx512bw`) with
+//! * a 512-bit EVEX body (requires `gfni + avx512f + avx512bw`) with
 //!   `k`-masked byte loads/stores for the tail, and
-//! * a 256-bit VEX path (requires `gfni + avx`) with a portable tail,
+//! * a 256-bit VEX body (requires `gfni + avx`) with a portable tail,
 //!   for GFNI parts without AVX-512 (e.g. pre-Ice-Lake previews or
 //!   AVX10.1/256 configurations).
 //!
-//! The dispatcher guarantees `gfni` and AVX2 before calling in; each entry
-//! point picks the 512-bit body when the AVX-512 side is also present
-//! (cached in a [`OnceLock`]).
+//! The dispatcher guarantees `gfni` and AVX2 before calling in, and picks
+//! the 512-bit body when the AVX-512 side is also present ([`wide`],
+//! cached in a [`OnceLock`]).
 
-use super::{portable_mul_add, portable_xor};
-use crate::tables::{xtime, MUL};
+use crate::tables::xtime;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -61,313 +59,110 @@ pub(crate) fn affine_matrix(c: u8) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// 512-bit EVEX bodies (gfni + avx512f + avx512bw), masked tails.
+// The two bodies of `super::region`: one per vector width.
 // ---------------------------------------------------------------------------
 
-/// `dst ^= c · src` via `GF2P8AFFINEQB` (or `dst = c · src` when
-/// `overwrite`, via `GF2P8MULB`).
+/// 512-bit EVEX body (gfni + avx512f + avx512bw): full 64-byte chunks plus
+/// one masked tail pass, so it processes every byte and returns `len`.
 ///
 /// # Safety
 ///
-/// Caller must ensure the host supports GFNI + AVX-512F + AVX-512BW and
-/// `dst.len() == src.len()`.
+/// The host must support GFNI + AVX-512F + AVX-512BW, and the pointers
+/// must satisfy [`super::region`]'s contract.
 #[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn body_512(dst: &mut [u8], src: &[u8], c: u8, overwrite: bool) {
-    let len = dst.len();
-    let matrix = affine_matrix(c);
+pub(super) unsafe fn region_512<const N: usize>(
+    dst: *mut u8,
+    srcs: [*const u8; N],
+    cs: [u8; N],
+    len: usize,
+    overwrite: bool,
+) -> usize {
     // SAFETY: full-vector accesses are bounded by `i + 64 <= len` (the
-    // caller guarantees equal lengths); the tail is masked to
-    // `rem = len - i < 64` lanes. Unaligned loadu/storeu forms throughout.
+    // caller's pointer contract); the tail is masked to
+    // `rem = len - i < 64` lanes. Each chunk's sources are loaded before
+    // its store; unaligned loadu/storeu forms throughout.
     unsafe {
-        let a = _mm512_set1_epi64(matrix as i64);
-        let cv = _mm512_set1_epi8(c as i8);
-        let mut i = 0;
-        while i + 64 <= len {
-            let s = _mm512_loadu_si512(src.as_ptr().add(i).cast());
-            let out = if overwrite {
-                _mm512_gf2p8mul_epi8(s, cv)
-            } else {
-                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, a);
-                _mm512_xor_si512(_mm512_loadu_si512(dst.as_ptr().add(i).cast()), prod)
-            };
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), out);
-            i += 64;
-        }
-        let rem = len - i;
-        if rem > 0 {
-            let k: __mmask64 = (1u64 << rem) - 1;
-            let s = _mm512_maskz_loadu_epi8(k, src.as_ptr().add(i).cast());
-            let out = if overwrite {
-                _mm512_gf2p8mul_epi8(s, cv)
-            } else {
-                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, a);
-                _mm512_xor_si512(_mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast()), prod)
-            };
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, out);
-        }
-    }
-}
-
-/// In-place `dst[i] = c · dst[i]` via `GF2P8MULB` (dedicated body: a
-/// `&[u8]`/`&mut [u8]` pair over one buffer would be aliasing UB).
-///
-/// # Safety
-///
-/// Caller must ensure the host supports GFNI + AVX-512F + AVX-512BW.
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn mul_assign_512(dst: &mut [u8], c: u8) {
-    let len = dst.len();
-    // SAFETY: every access reads and writes through `dst`'s own pointer,
-    // bounded by `i + 64 <= len` or the `rem`-lane mask.
-    unsafe {
-        let cv = _mm512_set1_epi8(c as i8);
-        let mut i = 0;
-        while i + 64 <= len {
-            let s = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), _mm512_gf2p8mul_epi8(s, cv));
-            i += 64;
-        }
-        let rem = len - i;
-        if rem > 0 {
-            let k: __mmask64 = (1u64 << rem) - 1;
-            let s = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast());
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, _mm512_gf2p8mul_epi8(s, cv));
-        }
-    }
-}
-
-/// Four-source blocked axpy: four affine matrices stay in registers and
-/// each 64-byte destination chunk streams once for the four sources.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports GFNI + AVX-512F + AVX-512BW and
-/// all slices equal length.
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn dot4_512(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-    let len = dst.len();
-    // SAFETY: accesses bounded by `i + 64 <= len` or the `rem`-lane mask;
-    // the caller guarantees all four sources equal `dst`'s length.
-    unsafe {
-        let mut a = [_mm512_setzero_si512(); 4];
-        for j in 0..4 {
+        let mut a = [_mm512_setzero_si512(); N];
+        for j in 0..N {
             a[j] = _mm512_set1_epi64(affine_matrix(cs[j]) as i64);
         }
         let mut i = 0;
         while i + 64 <= len {
-            let mut acc = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            for j in 0..4 {
-                let s = _mm512_loadu_si512(srcs[j].as_ptr().add(i).cast());
+            let mut acc = if overwrite {
+                _mm512_setzero_si512()
+            } else {
+                _mm512_loadu_si512(dst.add(i).cast())
+            };
+            for j in 0..N {
+                let s = _mm512_loadu_si512(srcs[j].add(i).cast());
                 acc = _mm512_xor_si512(acc, _mm512_gf2p8affine_epi64_epi8::<0>(s, a[j]));
             }
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), acc);
+            _mm512_storeu_si512(dst.add(i).cast(), acc);
             i += 64;
         }
         let rem = len - i;
         if rem > 0 {
             let k: __mmask64 = (1u64 << rem) - 1;
-            let mut acc = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast());
-            for j in 0..4 {
-                let s = _mm512_maskz_loadu_epi8(k, srcs[j].as_ptr().add(i).cast());
+            let mut acc = if overwrite {
+                _mm512_setzero_si512()
+            } else {
+                _mm512_maskz_loadu_epi8(k, dst.add(i).cast())
+            };
+            for j in 0..N {
+                let s = _mm512_maskz_loadu_epi8(k, srcs[j].add(i).cast());
                 acc = _mm512_xor_si512(acc, _mm512_gf2p8affine_epi64_epi8::<0>(s, a[j]));
             }
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, acc);
+            _mm512_mask_storeu_epi8(dst.add(i).cast(), k, acc);
         }
+        len
     }
 }
 
-// ---------------------------------------------------------------------------
-// 256-bit VEX bodies (gfni + avx), portable tails.
-// ---------------------------------------------------------------------------
-
-/// `dst ^= c · src` (or `dst = c · src` when `overwrite`) over 32-byte
-/// chunks; returns bytes processed so callers finish the tail portably.
+/// 256-bit VEX body (gfni + avx) over whole 32-byte chunks; returns the
+/// bytes processed so the caller finishes the tail portably.
 ///
 /// # Safety
 ///
-/// Caller must ensure the host supports GFNI + AVX and
-/// `dst.len() == src.len()`.
+/// The host must support GFNI + AVX, and the pointers must satisfy
+/// [`super::region`]'s contract.
 #[target_feature(enable = "gfni,avx")]
-unsafe fn body_256(dst: &mut [u8], src: &[u8], c: u8, overwrite: bool) -> usize {
-    let len = dst.len();
-    let matrix = affine_matrix(c);
-    // SAFETY: every access is bounded by `i + 32 <= len` (the caller
-    // guarantees equal lengths), unaligned loadu/storeu forms throughout.
+pub(super) unsafe fn region_256<const N: usize>(
+    dst: *mut u8,
+    srcs: [*const u8; N],
+    cs: [u8; N],
+    len: usize,
+    overwrite: bool,
+) -> usize {
+    // SAFETY: every access is bounded by `i + 32 <= len` (the caller's
+    // pointer contract); each chunk's sources are loaded before its store;
+    // unaligned loadu/storeu forms throughout.
     unsafe {
-        let a = _mm256_set1_epi64x(matrix as i64);
-        let cv = _mm256_set1_epi8(c as i8);
-        let mut i = 0;
-        while i + 32 <= len {
-            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-            let out = if overwrite {
-                _mm256_gf2p8mul_epi8(s, cv)
-            } else {
-                let prod = _mm256_gf2p8affine_epi64_epi8::<0>(s, a);
-                _mm256_xor_si256(_mm256_loadu_si256(dst.as_ptr().add(i).cast()), prod)
-            };
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), out);
-            i += 32;
-        }
-        i
-    }
-}
-
-/// In-place 256-bit `dst[i] = c · dst[i]`; returns bytes processed.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports GFNI + AVX.
-#[target_feature(enable = "gfni,avx")]
-unsafe fn mul_assign_256(dst: &mut [u8], c: u8) -> usize {
-    let len = dst.len();
-    // SAFETY: reads and writes only through `dst`'s own pointer, bounded
-    // by `i + 32 <= len`.
-    unsafe {
-        let cv = _mm256_set1_epi8(c as i8);
-        let mut i = 0;
-        while i + 32 <= len {
-            let s = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_gf2p8mul_epi8(s, cv));
-            i += 32;
-        }
-        i
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Entry points: width dispatch (512 when the AVX-512 side exists).
-// ---------------------------------------------------------------------------
-
-/// `dst ^= c · src`.
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2; slices must be equal length.
-pub(super) unsafe fn mul_add(dst: &mut [u8], src: &[u8], c: u8) {
-    if wide() {
-        // SAFETY: `wide()` verified gfni+avx512f+avx512bw on this host;
-        // the caller guarantees equal lengths.
-        unsafe { body_512(dst, src, c, false) }
-    } else {
-        // SAFETY: the caller's gfni+avx guarantee is `body_256`'s contract.
-        let done = unsafe { body_256(dst, src, c, false) };
-        portable_mul_add(&mut dst[done..], &src[done..], c);
-    }
-}
-
-/// `dst = c · src` (overwriting).
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2; slices must be equal length.
-pub(super) unsafe fn mul_into(dst: &mut [u8], src: &[u8], c: u8) {
-    if wide() {
-        // SAFETY: `wide()` verified gfni+avx512f+avx512bw on this host;
-        // the caller guarantees equal lengths.
-        unsafe { body_512(dst, src, c, true) }
-    } else {
-        // SAFETY: the caller's gfni+avx guarantee is `body_256`'s contract.
-        let done = unsafe { body_256(dst, src, c, true) };
-        let row = &MUL[c as usize];
-        for (d, s) in dst[done..].iter_mut().zip(&src[done..]) {
-            *d = row[*s as usize];
-        }
-    }
-}
-
-/// In-place `dst = c · dst`.
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2.
-pub(super) unsafe fn mul_assign(dst: &mut [u8], c: u8) {
-    if wide() {
-        // SAFETY: `wide()` verified gfni+avx512f+avx512bw on this host.
-        unsafe { mul_assign_512(dst, c) }
-    } else {
-        // SAFETY: the caller's gfni+avx guarantee is `mul_assign_256`'s
-        // contract.
-        let done = unsafe { mul_assign_256(dst, c) };
-        let row = &MUL[c as usize];
-        for d in dst[done..].iter_mut() {
-            *d = row[*d as usize];
-        }
-    }
-}
-
-/// Four-source blocked axpy.
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2; all slices must be equal length.
-pub(super) unsafe fn dot4(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-    if wide() {
-        // SAFETY: `wide()` verified gfni+avx512f+avx512bw on this host;
-        // the caller guarantees all slices equal length.
-        unsafe { dot4_512(dst, srcs, cs) }
-        return;
-    }
-    let len = dst.len();
-    // SAFETY: accesses bounded by `i + 32 <= len`; the caller guarantees
-    // gfni+avx and that all four sources equal `dst`'s length.
-    let i = unsafe { dot4_256(dst, srcs, cs) };
-    let _ = len;
-    for j in 0..4 {
-        portable_mul_add(&mut dst[i..], &srcs[j][i..], cs[j]);
-    }
-}
-
-/// 256-bit four-source fold; returns bytes processed.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports GFNI + AVX and all slices equal
-/// length.
-#[target_feature(enable = "gfni,avx")]
-unsafe fn dot4_256(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) -> usize {
-    let len = dst.len();
-    // SAFETY: every access is bounded by `i + 32 <= len`; the caller
-    // guarantees all four sources equal `dst`'s length.
-    unsafe {
-        let mut a = [_mm256_setzero_si256(); 4];
-        for j in 0..4 {
+        let mut a = [_mm256_setzero_si256(); N];
+        for j in 0..N {
             a[j] = _mm256_set1_epi64x(affine_matrix(cs[j]) as i64);
         }
         let mut i = 0;
         while i + 32 <= len {
-            let mut acc = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-            for j in 0..4 {
-                let s = _mm256_loadu_si256(srcs[j].as_ptr().add(i).cast());
+            let mut acc = if overwrite {
+                _mm256_setzero_si256()
+            } else {
+                _mm256_loadu_si256(dst.add(i).cast())
+            };
+            for j in 0..N {
+                let s = _mm256_loadu_si256(srcs[j].add(i).cast());
                 acc = _mm256_xor_si256(acc, _mm256_gf2p8affine_epi64_epi8::<0>(s, a[j]));
             }
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc);
+            _mm256_storeu_si256(dst.add(i).cast(), acc);
             i += 32;
         }
         i
-    }
-}
-
-/// `dst ^= src`: the 512-bit masked-tail XOR when available, otherwise
-/// the portable word loop (the dispatcher only routes here for the Gfni
-/// kernel; AVX2-class XOR is handled by the existing avx2 body).
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2; slices must be equal length.
-pub(super) unsafe fn xor_assign(dst: &mut [u8], src: &[u8]) {
-    if wide() {
-        // SAFETY: `wide()` verified the AVX-512 side; equal lengths are
-        // the caller's contract.
-        unsafe { super::simd_avx512::xor_assign(dst, src) }
-    } else {
-        // SAFETY: no unsafety — portable fallback.
-        portable_xor(dst, src);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::MUL;
 
     #[test]
     fn affine_matrix_matches_mul_table() {

@@ -169,9 +169,10 @@ fn report_skipped_kernels() {
 
 #[test]
 fn in_place_mul_assign_matches_out_of_place() {
-    // The in-place rung is a dedicated body on every SIMD kernel (a
-    // `&[u8]`/`&mut [u8]` pair over one buffer would be aliasing UB), so
-    // pin it against `mul_into` from a pristine copy of the same data.
+    // The in-place multiply runs each rung's one body with `dst` as its own
+    // source (through raw pointers: a `&[u8]`/`&mut [u8]` pair over one
+    // buffer would be aliasing UB), so pin it against `mul_into` from a
+    // pristine copy of the same data.
     for &len in &LENGTHS {
         let data0 = pattern(len, 61);
         for c in [0u8, 1, 2, 0x53, 0x80, 0xFF] {
