@@ -1,7 +1,7 @@
 //! Repo-local source lint for the concurrency and allocation disciplines
 //! that `nc-check` verifies dynamically.
 //!
-//! Four rules, each tied to an invariant the model checker, the buffer
+//! Six rules, each tied to an invariant the model checker, the buffer
 //! pool, or the batched-I/O seam owns:
 //!
 //! * **thread-spawn** — raw `std::thread::spawn` outside `crates/pool`
@@ -32,8 +32,15 @@
 //!   specific bounds/availability arguments; a bare block is a missing
 //!   argument, not a style nit. (`unsafe fn` *declarations* are exempt —
 //!   they state a contract rather than discharge one.)
+//! * **ci-target** — a cargo `--test`/`--bin`/`--example <name>` in
+//!   `.github/workflows/*.yml` that names no file in the tree (`tests/`,
+//!   `crates/*/tests/`, `crates/*/src/bin/`, `examples/`). A deleted suite
+//!   must take its CI step with it, not leave a lane that fails to resolve.
+//!   Arguments after a bare `--` belong to the program, not cargo, and are
+//!   not checked. This rule takes no waiver.
 //!
-//! A finding is waived by a comment on the same line or the line above:
+//! Any other finding is waived by a comment on the same line or the line
+//! above:
 //!
 //! ```text
 //! // lint: allow(<rule>) — <reason>
@@ -162,6 +169,85 @@ fn audit_safety(rel: &str, lines: &[&str], findings: &mut Vec<String>) {
     }
 }
 
+/// The `(flag, name)` cargo target selections on one workflow line: every
+/// `--test`/`--bin`/`--example` of each `cargo` command, up to the bare
+/// `--` that hands the rest to the program.
+fn ci_targets(line: &str) -> Vec<(&str, &str)> {
+    let mut targets = Vec::new();
+    for command in line.split(['|', ';', '&']) {
+        let mut tokens = command.split_whitespace().skip_while(|t| *t != "cargo");
+        while let Some(token) = tokens.next() {
+            if token == "--" {
+                break;
+            }
+            let (flag, inline) = token.split_once('=').unwrap_or((token, ""));
+            if matches!(flag, "--test" | "--bin" | "--example") {
+                let name = if inline.is_empty() { tokens.next() } else { Some(inline) };
+                if let Some(name) = name {
+                    targets.push((flag, name));
+                }
+            }
+        }
+    }
+    targets
+}
+
+/// Where a cargo target named `name` selected by `flag` may live.
+fn ci_target_candidates(flag: &str, name: &str) -> Vec<String> {
+    match flag {
+        "--test" => vec![format!("tests/{name}.rs"), format!("crates/*/tests/{name}.rs")],
+        "--bin" => vec![format!("crates/*/src/bin/{name}.rs")],
+        _ => vec![format!("examples/{name}.rs")],
+    }
+}
+
+/// Whether `pattern` (a relative path with at most a `crates/*/` wildcard)
+/// names a file under `root`.
+fn pattern_exists(root: &Path, pattern: &str) -> bool {
+    let Some(rest) = pattern.strip_prefix("crates/*/") else {
+        return root.join(pattern).is_file();
+    };
+    let Ok(crates) = std::fs::read_dir(root.join("crates")) else { return false };
+    crates.flatten().any(|krate| krate.path().join(rest).is_file())
+}
+
+/// `ci-target` over one workflow's text. No waiver: a target that does not
+/// resolve is always a broken step.
+fn audit_ci_targets(root: &Path, rel: &str, text: &str, findings: &mut Vec<String>) {
+    for (idx, line) in text.lines().enumerate() {
+        for (flag, name) in ci_targets(line) {
+            let candidates = ci_target_candidates(flag, name);
+            if !candidates.iter().any(|c| pattern_exists(root, c)) {
+                findings.push(format!(
+                    "{rel}:{}: [ci-target] `{flag} {name}` names no file (looked for {})\n    {}",
+                    idx + 1,
+                    candidates.join(", "),
+                    line.trim()
+                ));
+            }
+        }
+    }
+}
+
+/// Every workflow file under `.github/workflows/`.
+fn workflow_files(root: &Path) -> Vec<String> {
+    let Ok(entries) = std::fs::read_dir(root.join(".github/workflows")) else { return Vec::new() };
+    let mut files: Vec<String> = entries
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "yml" || x == "yaml"))
+        .map(|e| format!(".github/workflows/{}", e.file_name().to_string_lossy()))
+        .collect();
+    files.sort();
+    files
+}
+
+fn lint_workflow(root: &Path, rel: &str, findings: &mut Vec<String>) {
+    match std::fs::read_to_string(root.join(rel)) {
+        Ok(text) => audit_ci_targets(root, rel, &text, findings),
+        Err(e) => findings.push(format!("{rel}: unreadable: {e}")),
+    }
+}
+
 fn lint_file(root: &Path, rel: &str, findings: &mut Vec<String>) {
     let text = match std::fs::read_to_string(root.join(rel)) {
         Ok(t) => t,
@@ -244,11 +330,16 @@ fn main() -> ExitCode {
         }
         lint_file(&root, rel, &mut findings);
     }
+    let workflows = workflow_files(&root);
+    for rel in &workflows {
+        lint_workflow(&root, rel, &mut findings);
+    }
+    let files = files.len() + workflows.len();
     if findings.is_empty() {
-        println!("lint: {} files clean", files.len());
+        println!("lint: {files} files clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!("lint: {} finding(s) in {} files:\n", findings.len(), files.len());
+        eprintln!("lint: {} finding(s) in {files} files:\n", findings.len());
         for f in &findings {
             eprintln!("{f}\n");
         }
@@ -317,6 +408,25 @@ mod tests {
     }
 
     #[test]
+    fn ci_target_rule_flags_missing_targets_only() {
+        let workflow = "\
+      - run: cargo test --release --test net_transport -- --test-threads=1
+      - run: cargo run -p nc-bench --release --bin server_capacity -- --test bench/smoke.json
+      - run: cargo test -p nc-net --test=gone_transfer -q
+      - run: cargo build && cargo run --example missing_demo | tee out.txt
+";
+        let mut findings = Vec::new();
+        audit_ci_targets(&workspace_root(), "ci.yml", workflow, &mut findings);
+        assert_eq!(findings.len(), 2, "{findings:#?}");
+        assert!(findings[0].starts_with("ci.yml:3: [ci-target] `--test gone_transfer`"));
+        assert!(findings[1].starts_with("ci.yml:4: [ci-target] `--example missing_demo`"));
+
+        // Several selections on one command are each checked.
+        let multi = ci_targets("cargo test -p nc-check --test a --test b -- --test c");
+        assert_eq!(multi, [("--test", "a"), ("--test", "b")]);
+    }
+
+    #[test]
     fn the_repo_is_clean() {
         // The lint's own acceptance test: running it over the live tree
         // must produce zero unwaived findings.
@@ -327,6 +437,9 @@ mod tests {
                 continue;
             }
             lint_file(&root, &rel, &mut findings);
+        }
+        for rel in workflow_files(&root) {
+            lint_workflow(&root, &rel, &mut findings);
         }
         assert!(findings.is_empty(), "unwaived lint findings:\n{}", findings.join("\n"));
     }

@@ -16,9 +16,9 @@ use nc_streaming::{CapacityPlan, HybridBackend, Nic, StreamProfile};
 
 use crate::grids::{block_sizes, to_mb, BLOCK_COUNTS, BLOCK_COUNTS_FIG8};
 use crate::runners::{
-    circshift_rotate_add_rate, cpu_decode_multi_series, cpu_decode_single_series,
-    cpu_encode_series, fig7_ladder, gf_axpy_rate, gf_kernel_axpy_rate, gpu_decode_multi_series,
-    gpu_decode_single_rate, gpu_decode_single_series, gpu_encode_series, host_encode_series,
+    cpu_decode_multi_series, cpu_decode_single_series, cpu_encode_series, fig7_ladder,
+    gf_axpy_rate, gf_kernel_axpy_rate, gpu_decode_multi_series, gpu_decode_single_rate,
+    gpu_decode_single_series, gpu_encode_series, host_encode_series,
 };
 use crate::series::format_table;
 
@@ -289,9 +289,8 @@ pub fn host_simd() -> String {
 
     // The full dispatch ladder, rung by rung: every kernel this binary
     // knows, measured explicitly (the `simd` row above only shows the
-    // auto-detected winner), plus the multiplication-free circular-shift
-    // primitive as its own column of the ablation.
-    out.push_str("### per-kernel dispatch ladder + circular shift (MB/s)\n");
+    // auto-detected winner).
+    out.push_str("### per-kernel dispatch ladder (MB/s)\n");
     out.push_str(&format!(
         "{:<10} {:>10} {:>10} {:>10} {:>14}\n{}\n",
         "kernel",
@@ -312,20 +311,7 @@ pub fn host_simd() -> String {
             rates[1] / table_4k,
         ));
     }
-    let circ_rates: Vec<f64> = sizes.iter().map(|&k| circshift_rotate_add_rate(k)).collect();
-    out.push_str(&format!(
-        "{:<10} {:>10.1} {:>10.1} {:>10.1} {:>13.2}x\n",
-        "circshift",
-        circ_rates[0],
-        circ_rates[1],
-        circ_rates[2],
-        circ_rates[1] / table_4k,
-    ));
-    out.push_str(
-        "(circshift is the Shum & Hou rotate-and-add over Z_256[z]/(z^L - 1):\n\
-         no GF multiply at all, so its per-op bandwidth is memory-bound even\n\
-         without SIMD; GFNI multiplies 64 bytes per instruction.)\n\n",
-    );
+    out.push('\n');
 
     // Fig. 10 on live hardware: the partitioning trade-off with the SIMD
     // backend. Reduced grid so the sweep stays interactive on small hosts.

@@ -187,32 +187,6 @@ pub fn gf_kernel_axpy_rate(kernel: nc_gf256::simd::SimdKernel, k: usize) -> f64 
     }
 }
 
-/// Measured single-core bandwidth (MB/s) of the circular-shift codec's
-/// hot-path primitive — `rotate_add`, the rotate-and-wrapping-add that
-/// replaces the GF axpy entirely (Shum & Hou) — at the lifted region
-/// length for block size `k`.
-pub fn circshift_rotate_add_rate(k: usize) -> f64 {
-    let config = CodingConfig::new(4, k).expect("valid shape");
-    let ell = nc_rlnc::circshift::lifted_len(config).expect("k fits the point field");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x51D2 + k as u64);
-    let src: Vec<u8> = (0..ell).map(|_| rng.gen()).collect();
-    let mut dst: Vec<u8> = (0..ell).map(|_| rng.gen()).collect();
-    let mut iters = 16usize;
-    loop {
-        let t0 = std::time::Instant::now();
-        for i in 0..iters {
-            // Vary the shift so the span split never specializes away.
-            nc_rlnc::circshift::rotate_add(&mut dst, &src, (i * 97 + 1) % ell);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        if dt >= 0.02 || iters >= 1 << 22 {
-            std::hint::black_box(&dst);
-            return (iters * ell) as f64 / dt / (1024.0 * 1024.0);
-        }
-        iters *= 4;
-    }
-}
-
 /// Sweeps measured host encode bandwidth (MB/s) over block sizes for one
 /// GF backend and partitioning scheme — the live-hardware companion to
 /// [`cpu_encode_series`]'s modeled Mac Pro.

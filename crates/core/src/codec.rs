@@ -41,10 +41,6 @@ pub enum CodecId {
     /// deterministic shards, O(n log n) decode, zero-copy on loss-free
     /// delivery.
     Fft16,
-    /// Multiplication-free circular-shift coding over Z₂₅₆\[z\]/(z^L − 1)
-    /// ([`crate::circshift`]): byte rotations + wrapping integer adds,
-    /// no GF tables or SIMD shuffles anywhere on the hot path.
-    CircShift,
 }
 
 impl CodecId {
@@ -53,17 +49,21 @@ impl CodecId {
         match self {
             CodecId::DenseRlnc => 0,
             CodecId::Fft16 => 1,
-            CodecId::CircShift => 2,
         }
     }
 
     /// Parses an announce-frame codec byte; `None` for ids this build does
     /// not know (the transport rejects those announces cleanly).
+    ///
+    /// Byte 2 is reserved: it named the circular-shift codec, which was
+    /// removed because its decode lost to dense RLNC on every kernel rung.
+    /// It must never be reused, so an announce from a peer that still
+    /// speaks it is rejected as unknown instead of being decoded as some
+    /// other codec.
     pub fn from_wire(byte: u8) -> Option<CodecId> {
         match byte {
             0 => Some(CodecId::DenseRlnc),
             1 => Some(CodecId::Fft16),
-            2 => Some(CodecId::CircShift),
             _ => None,
         }
     }
@@ -73,7 +73,6 @@ impl CodecId {
         match self {
             CodecId::DenseRlnc => "dense-rlnc",
             CodecId::Fft16 => "fft16",
-            CodecId::CircShift => "circshift",
         }
     }
 }
@@ -305,9 +304,10 @@ mod tests {
 
     #[test]
     fn codec_ids_roundtrip_and_reject_unknown() {
-        for id in [CodecId::DenseRlnc, CodecId::Fft16, CodecId::CircShift] {
+        for id in [CodecId::DenseRlnc, CodecId::Fft16] {
             assert_eq!(CodecId::from_wire(id.to_wire()), Some(id));
         }
+        assert_eq!(CodecId::from_wire(2), None, "reserved");
         assert_eq!(CodecId::from_wire(0xFF), None);
         assert_eq!(CodecId::from_wire(3), None);
     }

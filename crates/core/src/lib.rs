@@ -28,9 +28,6 @@
 //!   decoders and by the GPU kernels' host-side verification.
 //! * [`stream`] — whole-stream transfer: segmentation, framed wire format,
 //!   and reassembly across many generations.
-//! * [`circshift`] — a GF-multiplication-free alternative codec behind the
-//!   same [`codec`] seam: byte-wise circular shifts + wrapping integer
-//!   additions over Z₂₅₆\[z\]/(z^L − 1) (Shum & Hou).
 //!
 //! # Example
 //!
@@ -56,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod circshift;
 pub mod codec;
 pub mod coeff;
 pub mod decoder;
@@ -71,7 +67,6 @@ pub mod stream;
 pub mod two_stage;
 
 pub use block::CodedBlock;
-pub use circshift::{CircShiftCodec, CircShiftReceiver, CircShiftSender};
 pub use codec::{CodecId, ErasureCodec, StreamCodecReceiver, StreamCodecSender};
 pub use coeff::CoefficientRng;
 pub use decoder::Decoder;

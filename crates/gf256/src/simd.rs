@@ -243,8 +243,13 @@ pub fn default_backend() -> Backend {
     })
 }
 
+/// The normalized `NC_GF_BACKEND` value; empty or all-whitespace reads as
+/// unset (`NC_GF_BACKEND= cmd` means "no override", not an unknown name).
 fn backend_env() -> Option<String> {
-    std::env::var("NC_GF_BACKEND").ok().map(|v| v.trim().to_ascii_lowercase())
+    std::env::var("NC_GF_BACKEND")
+        .ok()
+        .map(|v| v.trim().to_ascii_lowercase())
+        .filter(|v| !v.is_empty())
 }
 
 /// How many coefficient rows [`dot_assign_with_kernel`] folds per pass: the

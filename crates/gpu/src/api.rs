@@ -137,8 +137,7 @@ impl GpuEncoder {
         GpuEncoder::with_backend(Box::new(SimBackend::new(spec)), scheme)
     }
 
-    /// Creates an encoder on an explicit executor (host workers, compute
-    /// plumbing, …).
+    /// Creates an encoder on an explicit executor (e.g. host workers).
     pub fn with_backend(dev: Box<dyn DeviceBackend>, scheme: EncodeScheme) -> GpuEncoder {
         GpuEncoder { dev, scheme }
     }
@@ -148,7 +147,7 @@ impl GpuEncoder {
         self.dev.spec()
     }
 
-    /// The executor's name (`"sim"`, `"host"`, `"compute"`).
+    /// The executor's name (`"sim"` or `"host"`).
     pub fn backend_name(&self) -> &'static str {
         self.dev.name()
     }
@@ -458,7 +457,7 @@ impl GpuProgressiveDecoder {
         self.dev.enable_sanitizer(config)
     }
 
-    /// The executor's name (`"sim"`, `"host"`, `"compute"`).
+    /// The executor's name (`"sim"` or `"host"`).
     pub fn backend_name(&self) -> &'static str {
         self.dev.name()
     }
@@ -618,7 +617,7 @@ impl GpuMultiDecoder {
         GpuMultiDecoder { dev, spec, stage2 }
     }
 
-    /// The executor's name (`"sim"`, `"host"`, `"compute"`).
+    /// The executor's name (`"sim"` or `"host"`).
     pub fn backend_name(&self) -> &'static str {
         self.dev.name()
     }

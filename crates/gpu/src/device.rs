@@ -11,7 +11,7 @@
 //! * [`DeviceBackend`] — the executor: buffer management, uploads,
 //!   downloads, grid launches, per-launch [`LaunchStats`].
 //!
-//! Three executors implement [`DeviceBackend`]:
+//! Two executors implement [`DeviceBackend`]:
 //!
 //! * [`SimBackend`] — the cycle-model simulator (sanitizer and sampled
 //!   launches preserved); `elapsed_s` is **modeled** time.
@@ -20,9 +20,6 @@
 //!   **measured** wall-clock time. This validates the simulator's cost
 //!   model against a real executor (see the `equivalence` bench figure)
 //!   and keeps every pipeline testable without a GPU.
-//! * `ComputeBackend` (feature `compute`, see [`crate::compute`]) — the
-//!   buffer/bind-group/dispatch command plumbing a real Vulkan-class device
-//!   would sit behind, executing on the host so CI compiles it GPU-free.
 //!
 //! Bit-exactness versus the `nc-rlnc` CPU reference is the invariant: the
 //! same [`DeviceKernel`] must produce identical bytes on every backend.

@@ -25,9 +25,8 @@
 //!   encode-like matrix multiplication.
 //! * [`device`] — the backend-agnostic launch layer: kernels implement
 //!   [`DeviceKernel`] against the object-safe [`LaunchCtx`] surface and run
-//!   unchanged on the cycle-model [`SimBackend`], the measured
-//!   [`HostDeviceBackend`] (parallel execution on `nc-pool` workers), or
-//!   the feature-gated `compute` command-stream stub.
+//!   unchanged on the cycle-model [`SimBackend`] or the measured
+//!   [`HostDeviceBackend`] (parallel execution on `nc-pool` workers).
 //! * [`api`] — host-side pipelines ([`GpuEncoder`], [`GpuMultiDecoder`],
 //!   …) that manage transfers, preprocessing, launches and verification.
 //! * [`ablation`] — isolated measurements of the design choices: source
@@ -47,8 +46,6 @@
 
 pub mod ablation;
 pub mod api;
-#[cfg(feature = "compute")]
-pub mod compute;
 pub mod costs;
 pub mod decode_multi;
 pub mod decode_single;
@@ -60,7 +57,5 @@ pub mod preprocess;
 pub use api::{
     EncodeScheme, Fidelity, GpuEncoder, GpuMultiDecoder, GpuProgressiveDecoder, PipelineError,
 };
-#[cfg(feature = "compute")]
-pub use compute::ComputeBackend;
 pub use device::{DeviceBackend, DeviceKernel, HostDeviceBackend, LaunchCtx, SimBackend};
 pub use encode_table::TableVariant;

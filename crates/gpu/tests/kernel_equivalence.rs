@@ -8,9 +8,7 @@
 
 use nc_gpu::api::EncodeScheme;
 use nc_gpu::decode_single::DecodeOptions;
-use nc_gpu::{
-    DeviceBackend, Fidelity, GpuEncoder, GpuProgressiveDecoder, HostDeviceBackend, TableVariant,
-};
+use nc_gpu::{Fidelity, GpuEncoder, GpuProgressiveDecoder, HostDeviceBackend, TableVariant};
 use nc_gpu_sim::{DeviceSpec, SanitizerConfig};
 use nc_rlnc::{CodingConfig, Decoder, Encoder, Segment};
 use proptest::prelude::*;
@@ -107,8 +105,7 @@ proptest! {
     ) {
         // The tentpole invariant of the device layer: one kernel body, many
         // executors, identical bytes. The sim backend is covered above;
-        // here the same schemes run on host workers (and, when the
-        // `compute` feature is on, through the command-stream plumbing).
+        // here the same schemes run on host workers.
         let config = CodingConfig::new(n, k).expect("valid dims");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let data: Vec<u8> = (0..n * k).map(|_| rng.gen()).collect();
@@ -122,23 +119,19 @@ proptest! {
             i => EncodeScheme::Table(TableVariant::ALL[i - 1]),
         };
 
-        #[cfg_attr(not(feature = "compute"), allow(unused_mut))]
-        let mut backends: Vec<Box<dyn DeviceBackend>> =
-            vec![Box::new(HostDeviceBackend::new(DeviceSpec::gtx280()))];
-        #[cfg(feature = "compute")]
-        backends.push(Box::new(nc_gpu::ComputeBackend::new(DeviceSpec::gtx280())));
-        for dev in backends {
-            let mut gpu = GpuEncoder::with_backend(dev, scheme);
-            let (blocks, _) = gpu.encode_blocks(&segment, &coeffs);
-            for (j, b) in blocks.iter().enumerate() {
-                let want = reference
-                    .encode_with_coefficients(coeffs[j].clone())
-                    .expect("row length n");
-                prop_assert_eq!(
-                    b.payload(), want.payload(),
-                    "{} {:?} block {}", gpu.backend_name(), scheme, j
-                );
-            }
+        let mut gpu = GpuEncoder::with_backend(
+            Box::new(HostDeviceBackend::new(DeviceSpec::gtx280())),
+            scheme,
+        );
+        let (blocks, _) = gpu.encode_blocks(&segment, &coeffs);
+        for (j, b) in blocks.iter().enumerate() {
+            let want = reference
+                .encode_with_coefficients(coeffs[j].clone())
+                .expect("row length n");
+            prop_assert_eq!(
+                b.payload(), want.payload(),
+                "{} {:?} block {}", gpu.backend_name(), scheme, j
+            );
         }
 
         // Progressive decode round-trips on host workers too.

@@ -13,21 +13,18 @@
 //! so every id that reaches [`codec_for`] has a backend.
 
 use nc_fft::Fft16Codec;
-use nc_rlnc::circshift::CircShiftCodec;
 use nc_rlnc::codec::{CodecId, DenseRlncCodec, ErasureCodec, StreamCodecSender};
 use nc_rlnc::{CodingConfig, Error};
 use std::sync::Arc;
 
 static DENSE_RLNC: DenseRlncCodec = DenseRlncCodec;
 static FFT16: Fft16Codec = Fft16Codec;
-static CIRC_SHIFT: CircShiftCodec = CircShiftCodec;
 
 /// The backend registered for `id`.
 pub fn codec_for(id: CodecId) -> &'static dyn ErasureCodec {
     match id {
         CodecId::DenseRlnc => &DENSE_RLNC,
         CodecId::Fft16 => &FFT16,
-        CodecId::CircShift => &CIRC_SHIFT,
         // `CodecId` is non_exhaustive, but `CodecId::from_wire` (the only
         // way wire input becomes an id) never yields ids beyond the above.
         _ => &DENSE_RLNC,
@@ -55,7 +52,7 @@ mod tests {
 
     #[test]
     fn registry_maps_every_id_to_its_own_backend() {
-        for id in [CodecId::DenseRlnc, CodecId::Fft16, CodecId::CircShift] {
+        for id in [CodecId::DenseRlnc, CodecId::Fft16] {
             assert_eq!(codec_for(id).id(), id);
         }
     }
@@ -64,7 +61,7 @@ mod tests {
     fn make_sender_builds_the_negotiated_backend() {
         let config = CodingConfig::new(4, 16).unwrap();
         let data = vec![7u8; 100];
-        for id in [CodecId::DenseRlnc, CodecId::Fft16, CodecId::CircShift] {
+        for id in [CodecId::DenseRlnc, CodecId::Fft16] {
             let sender = make_sender(id, config, &data).unwrap();
             assert_eq!(sender.codec(), id);
             assert_eq!(sender.original_len(), data.len());
