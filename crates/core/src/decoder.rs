@@ -4,7 +4,6 @@ use crate::block::CodedBlock;
 use crate::error::Error;
 use crate::segment::CodingConfig;
 use crate::stats::DecodeStats;
-use nc_gf256::region::Backend;
 use nc_gf256::{region, scalar};
 
 /// A progressive network decoder based on Gauss-Jordan elimination to
@@ -40,12 +39,10 @@ pub struct Decoder {
     /// pivot column.
     pivots: Vec<usize>,
     stats: DecodeStats,
-    backend: Backend,
 }
 
 impl Decoder {
-    /// Creates an empty decoder for one `(n, k)` generation, using the
-    /// auto-detected GF region backend.
+    /// Creates an empty decoder for one `(n, k)` generation.
     pub fn new(config: CodingConfig) -> Decoder {
         Decoder {
             config,
@@ -54,21 +51,7 @@ impl Decoder {
             // lint: allow(vec-capacity) — see above.
             pivots: Vec::with_capacity(config.blocks()),
             stats: DecodeStats::default(),
-            backend: Backend::default(),
         }
-    }
-
-    /// Selects the GF(2^8) region backend used for row reduction (ablation;
-    /// the default is the host's fastest).
-    pub fn with_backend(mut self, backend: Backend) -> Decoder {
-        self.backend = backend;
-        self
-    }
-
-    /// The GF(2^8) region backend this decoder reduces with.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The decoder's coding configuration.
@@ -124,7 +107,7 @@ impl Decoder {
         for (i, &pivot_col) in self.pivots.iter().enumerate() {
             let factor = row[pivot_col];
             if factor != 0 {
-                region::mul_add_assign_with(self.backend, &mut row, &self.rows[i], factor);
+                region::mul_add_assign(&mut row, &self.rows[i], factor);
                 self.stats.row_ops += 1;
                 self.stats.gf_multiplications += width as u64;
             }
@@ -141,7 +124,7 @@ impl Decoder {
         // Normalize so the leading coefficient is 1.
         let lead = row[pivot_col];
         if lead != 1 {
-            region::mul_assign_with(self.backend, &mut row, scalar::inv(lead));
+            region::mul_assign(&mut row, scalar::inv(lead));
             self.stats.row_ops += 1;
             self.stats.gf_multiplications += width as u64;
         }
@@ -152,7 +135,7 @@ impl Decoder {
             let _ = i;
             let factor = existing[pivot_col];
             if factor != 0 {
-                region::mul_add_assign_with(self.backend, existing, &row, factor);
+                region::mul_add_assign(existing, &row, factor);
                 self.stats.row_ops += 1;
                 self.stats.gf_multiplications += width as u64;
             }

@@ -4,7 +4,7 @@ use crate::block::CodedBlock;
 use crate::coeff::CoefficientRng;
 use crate::error::Error;
 use crate::segment::{CodingConfig, Segment};
-use nc_gf256::region::{self, Backend};
+use nc_gf256::region;
 use nc_pool::BlockArena;
 use rand::Rng;
 
@@ -31,32 +31,17 @@ use rand::Rng;
 pub struct Encoder {
     segment: Segment,
     coeff_rng: CoefficientRng,
-    backend: Backend,
 }
 
 impl Encoder {
-    /// Creates an encoder over `segment` drawing fully dense coefficients,
-    /// using the auto-detected GF region backend.
+    /// Creates an encoder over `segment` drawing fully dense coefficients.
     pub fn new(segment: Segment) -> Encoder {
-        Encoder { segment, coeff_rng: CoefficientRng::dense(), backend: Backend::default() }
+        Encoder { segment, coeff_rng: CoefficientRng::dense() }
     }
 
     /// Creates an encoder with a custom coefficient distribution.
     pub fn with_coefficients(segment: Segment, coeff_rng: CoefficientRng) -> Encoder {
-        Encoder { segment, coeff_rng, backend: Backend::default() }
-    }
-
-    /// Selects the GF(2^8) region backend used for the coding loop
-    /// (ablation; the default is the host's fastest).
-    pub fn with_backend(mut self, backend: Backend) -> Encoder {
-        self.backend = backend;
-        self
-    }
-
-    /// The GF(2^8) region backend this encoder codes with.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.backend
+        Encoder { segment, coeff_rng }
     }
 
     /// The coding configuration of the underlying segment.
@@ -143,7 +128,7 @@ impl Encoder {
         // Recycled (and re-zeroed) payload storage: on a steady-state
         // encode path this is a shelf pop, not a heap allocation.
         let mut payload = BlockArena::global().take_payload(self.config().block_size());
-        region::dot_assign_with(self.backend, &mut payload, sources, &coefficients);
+        region::dot_assign(&mut payload, sources, &coefficients);
         crate::metrics::metrics().blocks_coded.inc();
         CodedBlock::new(coefficients, payload)
     }

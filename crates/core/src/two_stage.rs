@@ -17,7 +17,6 @@ use crate::block::CodedBlock;
 use crate::error::Error;
 use crate::matrix::GfMatrix;
 use crate::segment::CodingConfig;
-use nc_gf256::region::Backend;
 
 /// Collects `n` coded blocks, then decodes them in one shot via
 /// `[C | I]` inversion + matrix multiplication.
@@ -52,12 +51,10 @@ pub struct TwoStageDecoder {
     /// reject dependent blocks on arrival.
     rank_probe: GfMatrix,
     rank: usize,
-    backend: Backend,
 }
 
 impl TwoStageDecoder {
-    /// Creates an empty two-stage decoder, using the auto-detected GF region
-    /// backend.
+    /// Creates an empty two-stage decoder.
     pub fn new(config: CodingConfig) -> TwoStageDecoder {
         TwoStageDecoder {
             config,
@@ -65,21 +62,7 @@ impl TwoStageDecoder {
             blocks: Vec::with_capacity(config.blocks()),
             rank_probe: GfMatrix::zeros(config.blocks(), config.blocks()),
             rank: 0,
-            backend: Backend::default(),
         }
-    }
-
-    /// Selects the GF(2^8) region backend used by both stages (ablation;
-    /// the default is the host's fastest).
-    pub fn with_backend(mut self, backend: Backend) -> TwoStageDecoder {
-        self.backend = backend;
-        self
-    }
-
-    /// The GF(2^8) region backend this decoder works with.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The decoder's coding configuration.
@@ -125,7 +108,7 @@ impl TwoStageDecoder {
             let factor = probe[lead];
             if factor != 0 {
                 let row = self.rank_probe.row(r).to_vec();
-                nc_gf256::region::mul_add_assign_with(self.backend, &mut probe, &row, factor);
+                nc_gf256::region::mul_add_assign(&mut probe, &row, factor);
             }
         }
         if probe.iter().all(|&c| c == 0) {
@@ -134,7 +117,7 @@ impl TwoStageDecoder {
         // Normalize the probe row for cheap future eliminations.
         let lead_pos = probe.iter().position(|&c| c != 0).expect("non-zero");
         let inv = nc_gf256::scalar::inv(probe[lead_pos]);
-        nc_gf256::region::mul_assign_with(self.backend, &mut probe, inv);
+        nc_gf256::region::mul_assign(&mut probe, inv);
         // Keep probe rows sorted by leading position (insertion sort step).
         let at = (0..self.rank)
             .find(|&r| {
@@ -171,13 +154,13 @@ impl TwoStageDecoder {
         let stage1 = m.stage1_invert_ns.span();
         let coeff_rows: Vec<&[u8]> = self.blocks.iter().map(|b| b.coefficients()).collect();
         let c = GfMatrix::from_rows(&coeff_rows)?;
-        let c_inv = c.invert_with(self.backend)?;
+        let c_inv = c.invert()?;
         stage1.stop();
         // Stage 2: b = C⁻¹ · x.
         let stage2 = m.stage2_multiply_ns.span();
         let payload_rows: Vec<&[u8]> = self.blocks.iter().map(|b| b.payload()).collect();
         let x = GfMatrix::from_rows(&payload_rows)?;
-        let b = c_inv.mul_with(self.backend, &x)?;
+        let b = c_inv.mul(&x)?;
         stage2.stop();
         Ok(b.as_flat().to_vec())
     }

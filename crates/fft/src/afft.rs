@@ -51,7 +51,7 @@ pub fn ifft(t: &Tables, work: &mut [Vec<u8>], size: usize, truncated: usize, ske
             let log_m = t.skew[r + dist + skew_delta - 1];
             for i in r..r + dist {
                 let (x, y) = pair(work, i, i + dist);
-                nc_gf256::simd::xor_assign(y, x);
+                nc_gf256::region::add_assign(y, x);
                 if log_m != MODULUS {
                     simd::mul_add_assign(t, x, y, log_m);
                 }
@@ -79,7 +79,7 @@ pub fn fft(t: &Tables, work: &mut [Vec<u8>], size: usize, truncated: usize, skew
                 if log_m != MODULUS {
                     simd::mul_add_assign(t, x, y, log_m);
                 }
-                nc_gf256::simd::xor_assign(y, x);
+                nc_gf256::region::add_assign(y, x);
             }
             r += span;
         }
@@ -96,7 +96,7 @@ pub fn formal_derivative(work: &mut [Vec<u8>], size: usize) {
         let width = ((i ^ (i - 1)) + 1) >> 1;
         for j in 0..width {
             let (x, y) = pair(work, i - width + j, i + j);
-            nc_gf256::simd::xor_assign(x, y);
+            nc_gf256::region::add_assign(x, y);
         }
     }
 }

@@ -83,7 +83,7 @@ pub fn encode_segment(original: &[&[u8]], recovery_count: usize) -> Result<Vec<V
         }
         ifft(&t, &mut chunk, m, count, m + start);
         for (w, x) in work.iter_mut().zip(&chunk) {
-            nc_gf256::simd::xor_assign(w, x);
+            nc_gf256::region::add_assign(w, x);
         }
         for v in chunk {
             pool.recycle(v);

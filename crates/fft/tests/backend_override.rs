@@ -8,7 +8,7 @@ use nc_fft::{simd, tables};
 use nc_gf256::simd::SimdKernel;
 
 #[test]
-fn nc_gf_backend_portable_pins_the_gf16_rung() {
+fn forced_portable_rung_pins_the_gf16_rung() {
     // Before the first dispatch of this process, so the cached choice sees
     // it.
     std::env::set_var("NC_GF_BACKEND", "portable");

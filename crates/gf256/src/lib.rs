@@ -15,9 +15,10 @@
 //!   including the *remapped* zero sentinel of the paper's Table-based-3
 //!   optimization.
 //! * **Region operations** over byte slices (`dst ^= c · src` and friends)
-//!   with several interchangeable backends, in [`region`], including real
-//!   SSSE3/AVX2/NEON shuffle-table kernels with cached runtime dispatch in
-//!   [`simd`] (the modern equivalent of the paper's SSE2 CPU baseline).
+//!   in [`region`], running on one ladder of kernels with cached runtime
+//!   dispatch in [`simd`]: GFNI, AVX-512BW, AVX2, SSSE3 and NEON
+//!   shuffle-table kernels (the modern equivalent of the paper's SSE2 CPU
+//!   baseline) above a portable 256-byte product-table row.
 //!
 //! The field is Rijndael's: polynomial x^8 + x^4 + x^3 + x + 1 (0x11B),
 //! generator 0x03. Addition is XOR; every non-zero element has a

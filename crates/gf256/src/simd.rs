@@ -11,8 +11,8 @@
 //! ```
 //!
 //! where `lo_table[i] = c·i` and `hi_table[i] = c·(i<<4)` are the two
-//! 16-entry half-byte product tables ([`Backend::Nibble`] computes the very
-//! same tables, one byte at a time). This module provides:
+//! 16-entry half-byte product tables, sliced out of the coefficient's
+//! 256-byte product-table row. This module provides:
 //!
 //! * a **GFNI** kernel (`GF2P8AFFINEQB` with a per-constant bit-matrix,
 //!   512-bit EVEX when AVX-512BW is present, 256-bit VEX otherwise — see
@@ -25,24 +25,24 @@
 //! * a **portable** fallback (the L1-resident 256-byte product-table row),
 //!
 //! selected **once** at first use via `is_x86_feature_detected!` (NEON is
-//! architecturally guaranteed on AArch64) and cached in a [`OnceLock`]. The
-//! selection — and the crate-wide default [`Backend`] — can be forced with
+//! architecturally guaranteed on AArch64) and cached in a [`OnceLock`].
+//! [`active_kernel`] is the one GF(2^8) selector: every
+//! [`crate::region`] operation runs on it. The selection can be forced with
 //! the `NC_GF_BACKEND` environment variable for ablation and for CI's
 //! forced-portable job:
 //!
 //! | `NC_GF_BACKEND` | effect |
 //! |---|---|
 //! | `gfni` / `avx512` / `avx2` / `ssse3` / `neon` | force that kernel (if the host supports it) |
-//! | `portable` | force the portable fallback through the SIMD dispatcher |
-//! | `table` / `logexp` / `loopwide` / `nibble` | force that scalar [`Backend`] |
-//! | unset / `simd` / `auto` | auto-detect the best kernel |
+//! | `portable` | force the portable 256-byte product-table row |
+//! | unset / empty / `simd` / `auto` | auto-detect the best kernel |
 //!
 //! The same selection also picks the rung of `nc-fft`'s GF(2^16) region
 //! kernels, which have no GFNI or AVX-512 body yet: under `gfni` or
-//! `avx512` they run their AVX2 body, and under a scalar [`Backend`] name
-//! they run the auto-detected rung's.
+//! `avx512` they run their AVX2 body.
 //!
-//! A forced kernel the host cannot run is **not** silently honored: the
+//! A forced kernel the host cannot run, or a name not in the table, is
+//! **not** silently honored: the
 //! dispatcher logs the downgrade to stderr once and bumps the
 //! `gf.backend_override_unavailable` telemetry counter, so an ablation run
 //! that asked for `gfni` on a non-GFNI box leaves a visible trace instead
@@ -63,7 +63,7 @@
 //! is streamed once per group of four sources instead of once per source.
 //!
 //! All kernels are property-tested bit-identical against the scalar
-//! backends (see `tests/simd_dispatch.rs`), including the zero/one
+//! references (see `tests/simd_dispatch.rs`), including the zero/one
 //! coefficient fast paths and every unaligned head/tail length.
 
 // All `unsafe` in the crate lives in this module and its two x86-64
@@ -72,7 +72,6 @@
 // (feature availability + in-bounds pointer arithmetic) stated per block.
 #![allow(unsafe_code)]
 
-use crate::region::Backend;
 use crate::tables::MUL;
 use std::sync::OnceLock;
 
@@ -179,30 +178,31 @@ impl SimdKernel {
     }
 }
 
-/// The kernel [`Backend::Simd`] dispatches to, detected once and cached.
+/// The kernel every [`crate::region`] operation dispatches to, detected
+/// once and cached.
 ///
 /// Honors `NC_GF_BACKEND` (`gfni` / `avx512` / `avx2` / `ssse3` / `neon` /
-/// `portable`); a forced kernel the host lacks degrades to the best
-/// available one rather than crashing, so ablation scripts are portable —
-/// but the downgrade is logged to stderr once and counted in the
+/// `portable`); a forced kernel the host lacks, or an unknown name, degrades
+/// to the best available one rather than crashing, so ablation scripts are
+/// portable — but the downgrade is logged to stderr once and counted in the
 /// `gf.backend_override_unavailable` telemetry counter so it can't pass
 /// unnoticed. The selected rung is published as the `gf.kernel_id` gauge.
 pub fn active_kernel() -> SimdKernel {
     static ACTIVE: OnceLock<SimdKernel> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        let forced = match backend_env().as_deref() {
-            Some("portable") => Some(SimdKernel::Portable),
-            Some("gfni") => Some(SimdKernel::Gfni),
-            Some("avx512") => Some(SimdKernel::Avx512),
-            Some("avx2") => Some(SimdKernel::Avx2),
-            Some("ssse3") => Some(SimdKernel::Ssse3),
-            Some("neon") => Some(SimdKernel::Neon),
-            // Scalar backend names are handled by `default_backend` and
-            // never reach the SIMD dispatcher; auto tokens mean detect.
-            None | Some("simd") | Some("auto") | Some("table") | Some("logexp")
-            | Some("loopwide") | Some("nibble") => None,
-            Some(other) => {
-                note_override_ignored(other, "is not a known backend");
+        // Empty or all-whitespace reads as unset (`NC_GF_BACKEND= cmd` means
+        // "no override", not an unknown name).
+        let env = std::env::var("NC_GF_BACKEND").map(|v| v.trim().to_ascii_lowercase());
+        let forced = match env.as_deref() {
+            Ok("portable") => Some(SimdKernel::Portable),
+            Ok("gfni") => Some(SimdKernel::Gfni),
+            Ok("avx512") => Some(SimdKernel::Avx512),
+            Ok("avx2") => Some(SimdKernel::Avx2),
+            Ok("ssse3") => Some(SimdKernel::Ssse3),
+            Ok("neon") => Some(SimdKernel::Neon),
+            Err(_) | Ok("" | "simd" | "auto") => None,
+            Ok(other) => {
+                note_override_ignored(other, "is not a known kernel");
                 None
             }
         };
@@ -228,30 +228,6 @@ fn note_override_ignored(value: &str, why: &str) {
     nc_telemetry::default_registry().counter("gf.backend_override_unavailable").inc();
 }
 
-/// The crate-wide default [`Backend`], detected once and cached.
-///
-/// [`Backend::Simd`] unless `NC_GF_BACKEND` names one of the scalar
-/// backends (`table`, `logexp`, `loopwide`, `nibble`) for ablation.
-pub fn default_backend() -> Backend {
-    static DEFAULT: OnceLock<Backend> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match backend_env().as_deref() {
-        Some("table") => Backend::Table,
-        Some("logexp") => Backend::LogExp,
-        Some("loopwide") => Backend::LoopWide,
-        Some("nibble") => Backend::Nibble,
-        _ => Backend::Simd,
-    })
-}
-
-/// The normalized `NC_GF_BACKEND` value; empty or all-whitespace reads as
-/// unset (`NC_GF_BACKEND= cmd` means "no override", not an unknown name).
-fn backend_env() -> Option<String> {
-    std::env::var("NC_GF_BACKEND")
-        .ok()
-        .map(|v| v.trim().to_ascii_lowercase())
-        .filter(|v| !v.is_empty())
-}
-
 /// How many coefficient rows [`dot_assign_with_kernel`] folds per pass: the
 /// half-byte tables of four coefficients (eight vectors) plus the nibble
 /// mask, accumulator and source loads fit the 16 architectural vector
@@ -259,44 +235,8 @@ fn backend_env() -> Option<String> {
 pub const DOT_BLOCK: usize = 4;
 
 // ---------------------------------------------------------------------------
-// Dispatching entry points (called by `crate::region` once c ∉ {0, 1} fast
-// paths are taken; exposed for benches and ablation via the explicit-kernel
-// variants below).
-// ---------------------------------------------------------------------------
-
-/// `dst ^= c · src` on the active kernel (zero/one fast paths included).
-#[inline]
-pub fn mul_add_assign(dst: &mut [u8], src: &[u8], c: u8) {
-    mul_add_assign_with_kernel(active_kernel(), dst, src, c);
-}
-
-/// `dst = c · dst` on the active kernel (zero/one fast paths included).
-#[inline]
-pub fn mul_assign(dst: &mut [u8], c: u8) {
-    mul_assign_with_kernel(active_kernel(), dst, c);
-}
-
-/// `dst = c · src` on the active kernel (zero/one fast paths included).
-#[inline]
-pub fn mul_into(dst: &mut [u8], src: &[u8], c: u8) {
-    mul_into_with_kernel(active_kernel(), dst, src, c);
-}
-
-/// `dst ^= src` with the widest XOR the active kernel offers.
-#[inline]
-pub fn xor_assign(dst: &mut [u8], src: &[u8]) {
-    xor_assign_with_kernel(active_kernel(), dst, src);
-}
-
-/// `dst ^= Σ coeffs[i] · sources[i]`, blocked [`DOT_BLOCK`] rows per pass on
-/// the active kernel.
-#[inline]
-pub fn dot_assign(dst: &mut [u8], sources: &[&[u8]], coeffs: &[u8]) {
-    dot_assign_with_kernel(active_kernel(), dst, sources, coeffs);
-}
-
-// ---------------------------------------------------------------------------
-// Explicit-kernel entry points (benches, property tests, ablation).
+// Explicit-kernel entry points (behind `crate::region`'s active-kernel
+// operations; called directly by benches and property tests).
 // ---------------------------------------------------------------------------
 
 /// `dst ^= c · src` on an explicit kernel; unavailable kernels run portably.
@@ -521,9 +461,8 @@ unsafe fn portable<const N: usize>(
     }
 }
 
-/// Portable XOR over 8-byte words with a byte tail (also the scalar
-/// backends' `add_assign` path — see [`crate::region::add_assign_with`]).
-pub(crate) fn portable_xor(dst: &mut [u8], src: &[u8]) {
+/// Portable XOR over 8-byte words with a byte tail.
+fn portable_xor(dst: &mut [u8], src: &[u8]) {
     let mut d = dst.chunks_exact_mut(8);
     let mut s = src.chunks_exact(8);
     for (dc, sc) in (&mut d).zip(&mut s) {

@@ -2,8 +2,9 @@
 //! all multiplication strategies.
 
 use nc_gf256::logdomain::{mul_log, mul_rlog, to_log, to_rlog};
-use nc_gf256::region::{add_assign, mul_add_assign_with, mul_assign_with, Backend};
+use nc_gf256::region::add_assign;
 use nc_gf256::scalar::{div, inv, mul_full_table, mul_loop, mul_table};
+use nc_gf256::simd::{mul_add_assign_with_kernel, mul_assign_with_kernel, SimdKernel};
 use nc_gf256::wide::{mul_word32, mul_word64};
 use nc_gf256::Gf8;
 use proptest::prelude::*;
@@ -66,7 +67,7 @@ proptest! {
     }
 
     #[test]
-    fn region_backends_agree(
+    fn region_kernels_agree(
         data in proptest::collection::vec(any::<u8>(), 0..300),
         src_seed: u8,
         c: u8,
@@ -79,23 +80,23 @@ proptest! {
         for (d, s) in reference.iter_mut().zip(&src) {
             *d ^= mul_loop(c, *s);
         }
-        for backend in Backend::ALL {
+        for kernel in SimdKernel::available() {
             let mut dst = data.clone();
-            mul_add_assign_with(backend, &mut dst, &src, c);
-            prop_assert_eq!(&dst, &reference, "backend {:?}", backend);
+            mul_add_assign_with_kernel(kernel, &mut dst, &src, c);
+            prop_assert_eq!(&dst, &reference, "kernel {:?}", kernel);
         }
     }
 
     #[test]
-    fn region_scale_backends_agree(
+    fn region_scale_kernels_agree(
         data in proptest::collection::vec(any::<u8>(), 0..300),
         c: u8,
     ) {
         let reference: Vec<u8> = data.iter().map(|&d| mul_loop(c, d)).collect();
-        for backend in Backend::ALL {
+        for kernel in SimdKernel::available() {
             let mut dst = data.clone();
-            mul_assign_with(backend, &mut dst, c);
-            prop_assert_eq!(&dst, &reference, "backend {:?}", backend);
+            mul_assign_with_kernel(kernel, &mut dst, c);
+            prop_assert_eq!(&dst, &reference, "kernel {:?}", kernel);
         }
     }
 

@@ -12,7 +12,7 @@
 //! degrade portably, not fault); `report_skipped_kernels` prints a visible
 //! `SKIPPED` marker per rung that could not be natively exercised.
 
-use nc_gf256::region::{self, Backend};
+use nc_gf256::region;
 use nc_gf256::scalar::mul_loop;
 use nc_gf256::simd::{
     self, dot_assign_with_kernel, mul_add_assign_with_kernel, mul_assign_with_kernel,
@@ -195,15 +195,17 @@ fn kernel_ids_are_distinct_and_stable() {
 }
 
 #[test]
-fn region_simd_backend_equals_scalar_backends() {
-    // The Backend::Simd seam used by every consumer crate.
+fn region_ops_equal_scalar_reference() {
+    // The active-kernel `region` seam used by every consumer crate.
     for &len in &LENGTHS {
         let src = pattern(len, 51);
         for c in [0u8, 1, 2, 0x53, 0x80, 0xFF] {
             let mut want = pattern(len, 77);
-            region::mul_add_assign_with(Backend::Table, &mut want, &src, c);
+            for (d, &s) in want.iter_mut().zip(&src) {
+                *d ^= mul_loop(c, s);
+            }
             let mut got = pattern(len, 77);
-            region::mul_add_assign_with(Backend::Simd, &mut got, &src, c);
+            region::mul_add_assign(&mut got, &src, c);
             assert_eq!(got, want, "c={c}, len={len}");
         }
     }
@@ -240,13 +242,15 @@ proptest! {
             (0..rows).map(|s| pattern(len, seed + s * 7)).collect();
         let refs: Vec<&[u8]> = sources.iter().map(|s| s.as_slice()).collect();
         let coeffs: Vec<u8> = (0..rows).map(|i| (seed + i * 3) as u8).collect();
-        // Row-at-a-time ground truth on the Table backend.
+        // Row-at-a-time scalar ground truth.
         let mut want = pattern(len, seed + 500);
         for (s, &c) in refs.iter().zip(&coeffs) {
-            region::mul_add_assign_with(Backend::Table, &mut want, s, c);
+            for (d, &b) in want.iter_mut().zip(*s) {
+                *d ^= mul_loop(c, b);
+            }
         }
         let mut got = pattern(len, seed + 500);
-        region::dot_assign_with(Backend::Simd, &mut got, &refs, &coeffs);
+        region::dot_assign(&mut got, &refs, &coeffs);
         prop_assert_eq!(got, want);
     }
 }
